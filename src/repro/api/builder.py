@@ -44,6 +44,7 @@ from typing import (
 )
 
 from repro.analysis.trials import DEFAULT_WHP_QUANTILE
+from repro.api._deprecation import warn_once
 from repro.api._exec import execute_batched, execute_trials
 from repro.api.observers import CIWidthRule, ObserverChain, RunObserver
 from repro.api.results import RunResult, SweepFrame, TrialSet
@@ -63,12 +64,26 @@ if TYPE_CHECKING:  # pragma: no cover - lazy at runtime (scenarios imports us)
 
 #: Accepted ``algorithm`` / ``engine`` values (mirrored by scenario files).
 ALGORITHMS = ("async", "sync")
-ENGINES = ("boundary", "naive", "jit", "batched", "auto")
+ENGINES = ("boundary", "naive", "batched", "auto")
 
-#: Smallest graph for which ``engine="auto"`` upgrades a single run to the
-#: compiled jit kernel (when numba is importable) — below this, compilation
-#: and block bookkeeping cost more than the plain boundary loop saves.
-AUTO_JIT_MIN_N = 4096
+
+def canonical_engine(name: str) -> str:
+    """Map the retired ``"jit"`` engine name onto ``"boundary"``, warning once.
+
+    ``jit`` ran the boundary race through a second copy of its driver with
+    bit-identical results, so the alias changes no output.  Shared by
+    :class:`RunSpec` and :class:`repro.scenarios.scenario.Scenario`; it is
+    kept for one release and removed in the next.
+    """
+    if name == "jit":
+        warn_once(
+            "engine-jit",
+            "engine='jit' is deprecated and now runs engine='boundary'; "
+            "the 'jit' name will be removed in the next release",
+        )
+        return "boundary"
+    return name
+
 
 #: Accepted ``network`` forms: family name, live network, or factory callable.
 NetworkLike = Union[str, DynamicNetwork, Callable[..., DynamicNetwork]]
@@ -102,6 +117,9 @@ class RunSpec:
     #: Internal: extra keyword arguments forwarded verbatim to the runner.
     run_kwargs: Mapping[str, Any] = field(repr=False, default_factory=dict)
 
+    def __post_init__(self):
+        object.__setattr__(self, "engine", canonical_engine(self.engine))
+
     @property
     def unit(self) -> str:
         """``"rounds"`` for the synchronous algorithm, ``"time"`` otherwise."""
@@ -130,7 +148,7 @@ class RunSpec:
             require(
                 not self.observers,
                 "engine='batched' does not support observers; streaming hooks "
-                "need a serial engine (boundary/jit)",
+                "need a serial engine (boundary/naive)",
             )
             require(
                 self.until_ci_width is None,
@@ -228,15 +246,14 @@ class RunBuilder:
         """Select the asynchronous engine.
 
         ``"boundary"`` (exact cut race, default), ``"naive"`` (clock-tick
-        reference), ``"jit"`` (boundary race through the optional
-        numba-compiled kernel, numpy fallback when numba is absent),
-        ``"batched"`` (all trials vectorised in one ``(trials, n)`` sweep;
-        static networks only, no observers or adaptive trials; ``workers``
-        shards the trial axis into per-worker sub-batches with bit-identical
-        results), or ``"auto"`` (``.collect()``/``.sweep()`` pick the
-        batched path when the workload supports it, boundary otherwise;
-        ``.once()`` picks the jit kernel for large graphs when numba is
-        importable — see :data:`AUTO_JIT_MIN_N`).
+        reference), ``"batched"`` (all trials vectorised in one
+        ``(trials, n)`` sweep; static networks only, no observers or adaptive
+        trials; ``workers`` shards the trial axis into per-worker sub-batches
+        with bit-identical results), or ``"auto"`` (``.collect()``/``.sweep()``
+        pick the batched path when the workload supports it, boundary
+        otherwise; ``.once()`` always runs boundary).  The retired ``"jit"``
+        name is accepted for one more release as a deprecated alias of
+        ``"boundary"``.
         """
         return self._replace(engine=name)
 
@@ -359,27 +376,6 @@ class RunBuilder:
         if spec.runner is not None:
             return spec.runner
         return resolve_process(spec.algorithm, spec.variant, spec.engine, spec.faults).run
-
-    def _once_runner(self, network: DynamicNetwork) -> Callable:
-        """Engine resolution for :meth:`once`: ``auto`` upgrades huge single runs.
-
-        A single trial cannot amortise the batched path, so ``auto`` here
-        means: the compiled jit kernel when numba is importable and the graph
-        is at least :data:`AUTO_JIT_MIN_N` nodes (where compilation pays for
-        itself), the plain boundary engine otherwise.  ``HAVE_NUMBA`` is read
-        at call time so the rule is testable without numba installed.
-        """
-        spec = self._spec
-        if spec.runner is None and spec.engine == "auto" and spec.algorithm == "async":
-            from repro.core import kernels
-
-            engine = (
-                "jit"
-                if kernels.HAVE_NUMBA and network.n >= AUTO_JIT_MIN_N
-                else "boundary"
-            )
-            return resolve_process(spec.algorithm, spec.variant, engine, spec.faults).run
-        return self._runner()
 
     def resolved_engine(self) -> str:
         """The concrete engine :meth:`collect` would execute (``auto`` resolved).
@@ -518,7 +514,7 @@ class RunBuilder:
             kwargs["recorder"] = recorder
         network = self._factory()()
         gen = ensure_rng(spec.seed if rng is None else rng)
-        result = self._once_runner(network)(network, source=spec.source, rng=gen, **kwargs)
+        result = self._runner()(network, source=spec.source, rng=gen, **kwargs)
         if observer is not None:
             observer.on_trial(0, result)
         return RunResult(spec=spec, spread=result)

@@ -31,8 +31,7 @@ while keeping every scatter an O(frontier)-sized vectorised batch
 (``np.minimum.at``).  Expansion order cannot change the fixed point — every
 finite time is the same left-associated sum of delays along the same optimal
 path — so the result is bit-identical for any ordering (and to the heap
-Dijkstra reference below, which the test-suite checks exactly).  This is what
-closes the general-graph batch gap without needing a compiled kernel.
+Dijkstra reference below, which the test-suite checks exactly).
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ arrays; it deliberately consumes a different random stream, so the contract
 is *distributional* equivalence, checked KS-style over spread times: the same
 two-sample criterion the boundary/naive integration tests use (z-test on the
 mean plus an empirical-CDF distance bound), including the closed-form clique
-path, the general blocked path, and both fault families.
+path, the first-passage percolation path, and both fault families.
 """
 
 import math
@@ -84,6 +84,17 @@ class TestDistributionAgreement:
         assert_distributions_agree(
             boundary_times(factory, TRIALS, 30_000, faults=faults),
             batched_times(factory, TRIALS, 77, faults=faults),
+        )
+
+    def test_agrees_under_drops_on_percolation_path(self):
+        # The clique "drops" case above takes the closed form; a path takes
+        # first-passage percolation, so this checks its drop-rate scaling
+        # on its own, without a crash in the mix.
+        faults = FaultModel(drop_probability=0.3)
+        factory = lambda: StaticDynamicNetwork(path(range(6)))
+        assert_distributions_agree(
+            boundary_times(factory, TRIALS, 40_000, faults=faults),
+            batched_times(factory, TRIALS, 55, faults=faults),
         )
 
     def test_agrees_for_push_only_variant(self):

@@ -35,7 +35,7 @@ class TestParser:
         assert args.workers == 4
 
     def test_simulate_new_engines_parse(self):
-        for engine in ("batched", "jit", "auto"):
+        for engine in ("batched", "auto"):
             args = build_parser().parse_args(["simulate", "--engine", engine])
             assert args.engine == engine
 
@@ -239,7 +239,7 @@ class TestJsonOutput:
 
     @pytest.mark.parametrize(
         "engine,resolved",
-        [("batched", "batched"), ("jit", "jit"), ("boundary", "boundary"),
+        [("batched", "batched"), ("boundary", "boundary"),
          ("auto", "batched")],  # auto on a static family takes the batched path
     )
     def test_simulate_profile_names_resolved_engine(self, capsys, engine, resolved):

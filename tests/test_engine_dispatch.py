@@ -6,9 +6,12 @@ unsupported combination raises the same ``ValueError`` family from all three
 ``Scenario.bind()`` — never mid-run after trials have already burned time.
 """
 
+import warnings
+
 import pytest
 
 from repro import api
+from repro.api._deprecation import reset_warnings
 from repro.core.asynchronous import AsynchronousRumorSpreading
 from repro.core.batched import BatchedRumorSpreading
 from repro.api.builder import ENGINES, resolve_process
@@ -26,11 +29,11 @@ def terminals(builder):
 
 class TestEngineRegistry:
     def test_engines_tuple(self):
-        assert ENGINES == ("boundary", "naive", "jit", "batched", "auto")
+        assert ENGINES == ("boundary", "naive", "batched", "auto")
 
     def test_resolve_process_maps_every_engine(self):
-        assert isinstance(resolve_process("async", engine="jit"), AsynchronousRumorSpreading)
-        assert resolve_process("async", engine="jit").engine == "jit"
+        assert isinstance(resolve_process("async", engine="naive"), AsynchronousRumorSpreading)
+        assert resolve_process("async", engine="naive").engine == "naive"
         assert isinstance(resolve_process("async", engine="batched"), BatchedRumorSpreading)
         # auto at process level means boundary; terminals do the batched pick.
         assert resolve_process("async", engine="auto").engine == "boundary"
@@ -95,12 +98,6 @@ class TestBatchedValidationParity:
         with pytest.raises(ValueError, match="static"):
             dynamic.bind().collect()
 
-    def test_jit_sync_rejected_from_all_terminals(self):
-        builder = api.run(network="clique", n=8, algorithm="sync").engine("jit")
-        for name, terminal in terminals(builder).items():
-            with pytest.raises(ValueError, match="asynchronous"):
-                terminal()
-
 
 class TestEngineExecution:
     def test_batched_collect_and_sweep_run(self):
@@ -114,8 +111,13 @@ class TestEngineExecution:
         assert result.spread.completed and result.spread.n == 16
 
     def test_jit_engine_through_api(self):
-        trial_set = api.run(network="clique", n=16).engine("jit").trials(4).seed(4).collect()
-        assert len(trial_set.spread_times) == 4
+        # The retired name still runs, as the boundary engine.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            builder = api.run(network="clique", n=16).engine("jit")
+        trial_set = builder.trials(4).seed(4).collect()
+        boundary = api.run(network="clique", n=16).trials(4).seed(4).collect()
+        assert list(trial_set.spread_times) == list(boundary.spread_times)
 
     def test_auto_uses_batched_on_static_network(self):
         # Identical seeds: the auto path must reproduce the batched path
@@ -150,3 +152,41 @@ class TestEngineExecution:
 
     def test_default_engine_unchanged(self):
         assert api.run(network="clique", n=8).spec.engine == "boundary"
+
+
+def deprecations_from(*calls):
+    """Run ``calls`` from a fresh warn-once registry; return the warnings."""
+    reset_warnings()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            results = [call() for call in calls]
+    finally:
+        reset_warnings()
+    messages = [
+        str(w.message) for w in caught if issubclass(w.category, DeprecationWarning)
+    ]
+    return messages, results
+
+
+class TestRetiredJitAlias:
+    """``engine="jit"`` maps to ``"boundary"`` with one warning per process."""
+
+    def test_builder_warns_once_and_runs_boundary(self):
+        jit = lambda: api.run(network="clique", n=8).engine("jit")
+        messages, builders = deprecations_from(jit, jit)
+        assert len(messages) == 1 and "'jit'" in messages[0]
+        assert all(b.spec.engine == "boundary" for b in builders)
+        assert builders[0].resolved_engine() == "boundary"
+        once = builders[0].seed(3).once().spread
+        reference = api.run(network="clique", n=8).seed(3).once().spread
+        assert once.informed_times == reference.informed_times
+
+    def test_scenario_warns_once_and_runs_boundary(self):
+        jit = lambda: Scenario(label="x", network="clique", params={"n": 8}, engine="jit")
+        messages, scenarios = deprecations_from(
+            jit, jit, lambda: Scenario.from_dict({**jit().to_dict(), "engine": "jit"})
+        )
+        assert len(messages) == 1 and "'jit'" in messages[0]
+        assert all(s.engine == "boundary" for s in scenarios)
+        assert scenarios[0] == Scenario(label="x", network="clique", params={"n": 8})

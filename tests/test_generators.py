@@ -93,6 +93,15 @@ class TestExpanders:
         graph = random_regular_expander(4, labels, rng=2)
         assert set(graph.nodes()) == set(labels)
 
+    @pytest.mark.parametrize("seed", [4, 9])
+    def test_sparse_expander_retries_until_gap_met(self, seed):
+        # 3-regular graphs on 64 nodes meet the gap threshold rarely; these
+        # seeds need more than 25 draws.
+        graph = random_regular_expander(3, range(64), rng=seed)
+        assert all(degree == 3 for _, degree in graph.degree())
+        assert nx.is_connected(graph)
+        assert spectral_gap(graph) >= 0.1
+
     def test_expander_rejects_odd_degree_times_n(self):
         with pytest.raises(ValueError):
             random_regular_expander(3, range(7), rng=0)
