@@ -10,7 +10,6 @@ runs without ever materialising a networkx graph.
 
 from conftest import run_experiment_benchmark
 
-from repro.analysis.trials import run_trials
 from repro.core.asynchronous import AsynchronousRumorSpreading
 from repro.core.batched import BatchedRumorSpreading
 from repro.dynamics.sequences import StaticDynamicNetwork
@@ -126,18 +125,6 @@ def test_bench_batched_single_run_n100000_er(benchmark):
         lambda: process.run_batch(network, 1, rng=0)[0], rounds=1, iterations=1
     )
     assert result.completed
-
-
-def test_bench_parallel_trial_runner(benchmark):
-    """Trial-runner fan-out: 8 trials on an n=300 clique across 2 workers."""
-    process = AsynchronousRumorSpreading()
-    factory = lambda: StaticDynamicNetwork(clique_csr(range(300)))
-    summary = benchmark.pedantic(
-        lambda: run_trials(process.run, factory, trials=8, rng=0, workers=2),
-        rounds=1,
-        iterations=1,
-    )
-    assert summary.completion_rate == 1.0
 
 
 def test_bench_api_single_run_n2000_clique(benchmark):

@@ -55,12 +55,11 @@ from repro.dynamics.absolute_diligent import AbsolutelyDiligentNetwork
 from repro.dynamics.dichotomy import CliqueBridgeNetwork, DynamicStarNetwork
 from repro.dynamics.edge_markovian import EdgeMarkovianNetwork
 from repro.dynamics.mobile_agents import MobileAgentsNetwork
-from repro.analysis.trials import TrialSummary, run_trials
-from repro.analysis.sweep import SweepResult, sweep
+from repro.analysis.trials import TrialSummary
 from repro.scenarios import ExperimentPipeline, Scenario, build_network
 from repro import api
 
-__version__ = "1.2.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "AsynchronousRumorSpreading",
@@ -82,9 +81,6 @@ __all__ = [
     "EdgeMarkovianNetwork",
     "MobileAgentsNetwork",
     "TrialSummary",
-    "run_trials",
-    "SweepResult",
-    "sweep",
     "ExperimentPipeline",
     "Scenario",
     "api",

@@ -1,17 +1,17 @@
-"""Experiment harness: repeated trials, parameter sweeps, tables and fits.
+"""Experiment analysis: trial statistics, distributions, tables and fits.
 
-* :mod:`repro.analysis.trials` — run a process many times on (fresh copies
-  of) a dynamic network and summarise the spread time distribution.
-* :mod:`repro.analysis.sweep` — sweep a parameter (``n``, ``ρ``, ``k``, ...)
-  and collect one :class:`TrialSummary` per point.
+Trials and sweeps run through :mod:`repro.api`; this package summarises and
+renders what they produce.
+
+* :mod:`repro.analysis.trials` — :class:`TrialSummary`, the spread-time
+  statistics behind :meth:`repro.api.TrialSet.summary`.
 * :mod:`repro.analysis.tables` — render sweep results as plain-text tables /
   CSV, the format EXPERIMENTS.md and the benchmark harness print.
 * :mod:`repro.analysis.regression` — log–log slope fits used to check growth
   exponents (Θ(n), Θ(log n), Θ(n²), ...).
 """
 
-from repro.analysis.trials import TrialSummary, run_trials
-from repro.analysis.sweep import SweepResult, sweep
+from repro.analysis.trials import TrialSummary
 from repro.analysis.tables import format_table, to_csv
 from repro.analysis.regression import loglog_slope, semilog_slope
 from repro.analysis.distribution import (
@@ -22,9 +22,6 @@ from repro.analysis.distribution import (
 
 __all__ = [
     "TrialSummary",
-    "run_trials",
-    "SweepResult",
-    "sweep",
     "format_table",
     "to_csv",
     "loglog_slope",

@@ -24,10 +24,10 @@ Quickstart::
     frame = api.run(network="clique", seed=3).trials(20).sweep([64, 128, 256])
     frame.column("mean")
 
-The legacy entry points (``AsynchronousRumorSpreading(...).run`` for direct
-engine access, and the deprecated ``run_trials`` / ``sweep`` helpers) remain
-available, but new code — and every internal consumer: the CLI, the
-experiments E1–E9, the scenario measurements — speaks this API.
+This is the only trial and sweep entry point: the CLI, the experiments
+E1–E9 and the scenario measurements all speak it.  The engine classes
+(``AsynchronousRumorSpreading(...).run``) stay available for direct access
+to a single run.
 """
 
 from repro.api.builder import (

@@ -1,17 +1,15 @@
 """The one trial-execution path behind :mod:`repro.api`.
 
-Everything that runs repeated trials — the fluent builder, the deprecated
-:func:`repro.analysis.trials.run_trials` / :func:`repro.analysis.sweep.sweep`
-shims, the scenario measurements and the CLI — funnels through
-:func:`execute_trials`.  Its contract is exactly the historical trial runner's:
+Everything that runs repeated trials — the fluent builder, the scenario
+measurements and the CLI — funnels through :func:`execute_trials`:
 
 * per-trial generators are spawned from the master seed up front, so trial
   ``i`` consumes the same generator regardless of ``workers`` or of how many
   trials end up running (adaptive early stopping consumes a prefix);
-* ``workers > 1`` fans trials over the shared forked process pool
-  (:func:`repro.utils.parallel.fork_map`), falling back to the serial loop on
-  platforms without ``fork``; for a fixed master seed the parallel path
-  returns the same spread times in the same order;
+* ``workers > 1`` fans trials over the supervised forked process pool
+  (:func:`repro.execution.supervisor.supervised_map`), falling back to the
+  serial loop on platforms without ``fork``; for a fixed master seed the
+  parallel path returns the same spread times in the same order;
 * an optional :class:`repro.api.observers.RunObserver` receives engine-level
   hooks (serial execution only — forked children cannot report back) and an
   ``on_trial`` call per finished trial;
@@ -22,15 +20,15 @@ shims, the scenario measurements and the CLI — funnels through
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.state import SpreadResult
 from repro.dynamics.sequences import StaticDynamicNetwork
-from repro.execution.policy import RetryPolicy
+from repro.execution.policy import ONE_SHOT_POLICY, RetryPolicy
 from repro.execution.report import ExecutionReport
-from repro.utils.parallel import fork_map
+from repro.execution.supervisor import fork_available, raise_first_failure, supervised_map
 from repro.utils.rng import RngLike, spawn_rngs
 from repro.utils.validation import require, require_node_count
 
@@ -46,6 +44,33 @@ def _prewarm_static(network: object) -> None:
         network.materialise()
 
 
+def _fan_out(
+    fn: Callable[[Any], Any],
+    items: Sequence[Any],
+    workers: int,
+    policy: Optional[RetryPolicy],
+    report: Optional[ExecutionReport],
+) -> Optional[List[Any]]:
+    """Map ``fn`` over ``items`` on ``workers`` forked processes, in order.
+
+    Returns ``None`` without the ``fork`` start method, so the caller runs
+    its serial loop (closures reach the workers through inherited memory and
+    need not be picklable).  Without a ``policy`` every item gets exactly one
+    attempt; the first ultimately failed item's exception is re-raised.
+    """
+    if not fork_available():
+        return None
+    outcomes = supervised_map(
+        fn,
+        list(items),
+        workers=workers,
+        policy=ONE_SHOT_POLICY if policy is None else policy,
+        report=report,
+    )
+    raise_first_failure(outcomes)
+    return [outcome.value for outcome in outcomes]
+
+
 def _run_batch(
     runner: Callable[..., SpreadResult],
     factory: Callable[[], object],
@@ -58,19 +83,18 @@ def _run_batch(
 ) -> Optional[List[SpreadResult]]:
     """Fan one batch of trials over a process pool; ``None`` without fork.
 
-    The closure (runner, factory, generators) reaches the workers through the
-    inherited memory of :func:`repro.utils.parallel.fork_map`, so arbitrary
-    lambdas and bound methods work without being picklable.  Trials are pure
-    functions of their spawned generator, so an optional supervised
-    ``policy`` can retry a killed or failed trial bit-identically.
+    The closure (runner, factory, generators) reaches the workers through
+    fork-inherited memory, so arbitrary lambdas and bound methods work
+    without being picklable.  Trials are pure functions of their spawned
+    generator, so an optional supervised ``policy`` can retry a killed or
+    failed trial bit-identically.
     """
 
     def one_trial(index: int) -> SpreadResult:
         network = factory()
         return runner(network, source=source, rng=generators[index], **run_kwargs)
 
-    return fork_map(one_trial, range(len(generators)), workers,
-                    policy=policy, report=report)
+    return _fan_out(one_trial, range(len(generators)), workers, policy, report)
 
 
 def execute_trials(
@@ -218,7 +242,7 @@ def execute_batched(
                 generators=generators[lo:hi],
             )
 
-        sharded = fork_map(one_shard, spans, workers, policy=policy, report=report)
+        sharded = _fan_out(one_shard, spans, workers, policy, report)
         if sharded is not None:
             results = [result for shard in sharded for result in shard]
     if results is None:

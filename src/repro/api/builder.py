@@ -14,8 +14,7 @@ identically for single runs, repeated trials and sweeps — the same rules the
 :class:`repro.scenarios.scenario.Scenario` dataclass and the CLI enforce.
 ``network`` accepts a registered family name (with parameters), an existing
 :class:`repro.dynamics.base.DynamicNetwork` instance, or a factory callable
-(zero-argument; for sweeps it receives the swept value, matching the legacy
-``sweep`` helper).
+(zero-argument; for sweeps it receives the swept value).
 
 Builders are immutable: every configuration method returns a new builder, so
 partially configured builders can be shared and specialised freely.
@@ -44,7 +43,6 @@ from typing import (
 )
 
 from repro.analysis.trials import DEFAULT_WHP_QUANTILE
-from repro.api._deprecation import warn_once
 from repro.api._exec import execute_batched, execute_trials
 from repro.api.observers import CIWidthRule, ObserverChain, RunObserver
 from repro.api.results import RunResult, SweepFrame, TrialSet
@@ -65,24 +63,6 @@ if TYPE_CHECKING:  # pragma: no cover - lazy at runtime (scenarios imports us)
 #: Accepted ``algorithm`` / ``engine`` values (mirrored by scenario files).
 ALGORITHMS = ("async", "sync")
 ENGINES = ("boundary", "naive", "batched", "auto")
-
-
-def canonical_engine(name: str) -> str:
-    """Map the retired ``"jit"`` engine name onto ``"boundary"``, warning once.
-
-    ``jit`` ran the boundary race through a second copy of its driver with
-    bit-identical results, so the alias changes no output.  Shared by
-    :class:`RunSpec` and :class:`repro.scenarios.scenario.Scenario`; it is
-    kept for one release and removed in the next.
-    """
-    if name == "jit":
-        warn_once(
-            "engine-jit",
-            "engine='jit' is deprecated and now runs engine='boundary'; "
-            "the 'jit' name will be removed in the next release",
-        )
-        return "boundary"
-    return name
 
 
 #: Accepted ``network`` forms: family name, live network, or factory callable.
@@ -112,13 +92,6 @@ class RunSpec:
     keep_results: bool = False
     #: Optional supervised retry/timeout policy for parallel trial fan-outs.
     retry: Optional[RetryPolicy] = field(repr=False, default=None)
-    #: Internal: raw runner override used by the legacy shims.
-    runner: Optional[Callable] = field(repr=False, default=None)
-    #: Internal: extra keyword arguments forwarded verbatim to the runner.
-    run_kwargs: Mapping[str, Any] = field(repr=False, default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(self, "engine", canonical_engine(self.engine))
 
     @property
     def unit(self) -> str:
@@ -251,9 +224,7 @@ class RunBuilder:
         trials; ``workers`` shards the trial axis into per-worker sub-batches
         with bit-identical results), or ``"auto"`` (``.collect()``/``.sweep()``
         pick the batched path when the workload supports it, boundary
-        otherwise; ``.once()`` always runs boundary).  The retired ``"jit"``
-        name is accepted for one more release as a deprecated alias of
-        ``"boundary"``.
+        otherwise; ``.once()`` always runs boundary).
         """
         return self._replace(engine=name)
 
@@ -353,14 +324,6 @@ class RunBuilder:
             policy = RetryPolicy(**fields)
         return self._replace(retry=policy)
 
-    def _with_runner(self, runner: Callable) -> "RunBuilder":
-        """Internal: bypass process resolution (legacy shim support)."""
-        return self._replace(runner=runner)
-
-    def _with_run_kwargs(self, **kwargs) -> "RunBuilder":
-        """Internal: forward raw keyword arguments to the runner (shims)."""
-        return self._replace(run_kwargs={**dict(self._spec.run_kwargs), **kwargs})
-
     # -- resolution --------------------------------------------------------
 
     def _observer(self) -> Optional[RunObserver]:
@@ -373,8 +336,6 @@ class RunBuilder:
 
     def _runner(self) -> Callable:
         spec = self._spec
-        if spec.runner is not None:
-            return spec.runner
         return resolve_process(spec.algorithm, spec.variant, spec.engine, spec.faults).run
 
     def resolved_engine(self) -> str:
@@ -395,9 +356,7 @@ class RunBuilder:
         if spec.engine != "auto":
             return spec.engine
         if (
-            spec.runner is None
-            and not spec.run_kwargs
-            and self._observer() is None
+            self._observer() is None
             and self._stop_rule() is None
             and batched_supported(self._factory()()) is None
         ):
@@ -431,7 +390,6 @@ class RunBuilder:
                 kwargs["max_rounds"] = int(math.ceil(spec.max_time))
             else:
                 kwargs["max_time"] = float(spec.max_time)
-        kwargs.update(spec.run_kwargs)
         return kwargs
 
     def _stop_rule(self) -> Optional[CIWidthRule]:
@@ -455,8 +413,6 @@ class RunBuilder:
         if (
             spec.engine in ("batched", "auto")
             and spec.algorithm == "async"
-            and spec.runner is None
-            and not spec.run_kwargs
             and observer is None
             and stop_rule is None
         ):

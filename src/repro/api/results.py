@@ -1,10 +1,9 @@
 """Typed results of the public API: ``RunResult``, ``TrialSet``, ``SweepFrame``.
 
-These replace the loose dict payloads that used to travel between the trial
-runner, the sweep helper and the CLI.  Each knows how to render itself as the
-corresponding ``--json`` document (``as_dict``), and ``TrialSet`` /
-``SweepFrame`` keep their numeric columns as numpy arrays so downstream
-analysis (slope fits, plotting) works without re-parsing tables.
+Each knows how to render itself as the corresponding ``--json`` document
+(``as_dict``), and ``TrialSet`` / ``SweepFrame`` keep their numeric columns
+as numpy arrays so downstream analysis (slope fits, plotting) works without
+re-parsing tables.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from repro.execution.report import ExecutionReport
 from repro.utils.validation import require
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import (builder imports us)
-    from repro.analysis.sweep import SweepResult
     from repro.analysis.trials import TrialSummary
     from repro.api.builder import RunSpec
 
@@ -195,6 +193,7 @@ class SweepFrame:
     extras: Tuple[Dict[str, float], ...] = ()
 
     def __post_init__(self):
+        require(len(self.values) > 0, "a sweep needs at least one swept value")
         require(len(self.values) == len(self.points), "one TrialSet per swept value")
         if not self.extras:
             object.__setattr__(self, "extras", tuple({} for _ in self.values))
@@ -232,18 +231,6 @@ class SweepFrame:
     def as_dict(self) -> Dict[str, Any]:
         """JSON-ready document: the swept parameter and the flat rows."""
         return {"parameter": self.parameter_name, "rows": self.rows()}
-
-    def to_sweep_result(self) -> "SweepResult":
-        """Adapt to the legacy :class:`repro.analysis.sweep.SweepResult`."""
-        from repro.analysis.sweep import SweepPoint, SweepResult
-
-        return SweepResult(
-            parameter_name=self.parameter_name,
-            points=[
-                SweepPoint(value=value, summary=point.summary(), extras=dict(extra))
-                for value, point, extra in zip(self.values, self.points, self.extras)
-            ],
-        )
 
 
 __all__ = ["RunResult", "SweepFrame", "TrialSet"]

@@ -102,17 +102,14 @@ def build_parser() -> argparse.ArgumentParser:
             "--jobs", type=positive_int, default=1,
             help="worker processes for scenario-point parallelism (1 = serial)",
         )
-        sub.add_argument(
+        store = sub.add_mutually_exclusive_group()
+        store.add_argument(
             "--sink", default=None, metavar="URL",
             help="artifact store URL: file://DIR (or a plain directory path), "
             "memory://, null://, or http://HOST:PORT for the shared store of "
             f"a running 'repro serve' (default: {default_cache_dir()!r})",
         )
-        sub.add_argument(
-            "--cache-dir", default=None, metavar="DIR",
-            help="deprecated alias for --sink file://DIR",
-        )
-        sub.add_argument(
+        store.add_argument(
             "--no-cache", action="store_true",
             help="disable the JSON artifact cache for this run",
         )
@@ -246,16 +243,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=1,
         help="per-run point parallelism (1 keeps engine events streamable)",
     )
-    serve_parser.add_argument(
+    serve_store = serve_parser.add_mutually_exclusive_group()
+    serve_store.add_argument(
         "--sink", default=None, metavar="URL",
         help="artifact store URL (file://DIR, memory://, ...; default: the "
         "pipeline's default cache dir)",
     )
-    serve_parser.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="deprecated alias for --sink file://DIR",
-    )
-    serve_parser.add_argument(
+    serve_store.add_argument(
         "--no-cache", action="store_true",
         help="keep artifacts in memory only (still served via /artifacts)",
     )
@@ -333,22 +327,11 @@ def _failure_flags(args: argparse.Namespace) -> tuple:
 def _sink_url_from_args(args: argparse.Namespace) -> Optional[str]:
     """The artifact-store URL the flags ask for (``None`` = caching off).
 
-    ``--sink URL`` is the one way to choose a store; ``--cache-dir DIR`` is
-    its deprecated spelling (a plain path is a valid ``--sink`` value), kept
-    as a shim that warns once per process like the ``run_trials`` adapter.
+    ``--sink URL`` chooses the store (a plain directory path is a valid
+    value); ``--no-cache``, which argparse makes exclusive with it, turns
+    caching off.
     """
     url = getattr(args, "sink", None)
-    cache_dir = getattr(args, "cache_dir", None)
-    if cache_dir is not None:
-        from repro.api._deprecation import warn_once
-
-        warn_once(
-            "cli-cache-dir",
-            "--cache-dir is deprecated; use --sink file://DIR "
-            "(or --sink DIR) instead",
-        )
-        if url is None:
-            url = cache_dir
     if getattr(args, "no_cache", False):
         return None
     return url if url is not None else default_cache_dir()

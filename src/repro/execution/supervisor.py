@@ -1,10 +1,10 @@
 """Supervised fan-out over forked worker processes.
 
 This is the resilience layer between the api/pipeline and the raw process
-pool.  The historical ``fork_map`` was a bare ``pool.map``: one OOM-killed
-child, one raising item or one runaway run aborted the whole sweep with no
-retry, no timeout and no partial result.  :func:`supervised_map` replaces it
-with a per-item future scheduler:
+pool.  With a bare ``pool.map``, one OOM-killed child, one raising item or
+one runaway run would abort the whole sweep with no retry, no timeout and no
+partial result.  :func:`supervised_map` is instead a per-item future
+scheduler:
 
 * every work item is submitted **individually** (no chunking — one poisoned
   item can never fail its neighbours), with the number of queued futures
@@ -24,10 +24,10 @@ same stream and successful results are **bit-identical** however many faults
 were recovered along the way.  Every recovery action is counted in an
 :class:`repro.execution.report.ExecutionReport`.
 
-Like the historical ``fork_map``, the pool path passes the callable and the
-items to workers through fork-inherited memory (no pickling of closures); the
-payload window is serialised by a lock so concurrent supervised runs cannot
-fork workers that inherit each other's payload.
+The pool path passes the callable and the items to workers through
+fork-inherited memory (no pickling of closures); the payload window is
+serialised by a lock so concurrent supervised runs cannot fork workers that
+inherit each other's payload.
 """
 
 from __future__ import annotations

@@ -40,7 +40,7 @@ from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import require
 
 #: Accepted ``algorithm`` / ``engine`` values (single source: the public API).
-from repro.api.builder import ALGORITHMS, ENGINES, canonical_engine  # noqa: E402 - re-export
+from repro.api.builder import ALGORITHMS, ENGINES  # noqa: E402 - re-export
 
 #: Version stamp mixed into every cache key; bump when point semantics change.
 SCENARIO_FORMAT_VERSION = 1
@@ -139,7 +139,6 @@ class Scenario:
 
     def __post_init__(self):
         require(isinstance(self.label, str) and self.label, "scenario label must be a non-empty string")
-        object.__setattr__(self, "engine", canonical_engine(self.engine))
         require(self.algorithm in ALGORITHMS, f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
         require(self.engine in ENGINES, f"engine must be one of {ENGINES}, got {self.engine!r}")
         Variant(self.variant)  # raises ValueError on unknown variants

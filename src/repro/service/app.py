@@ -25,11 +25,10 @@ from __future__ import annotations
 import queue
 import threading
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.api.observers import StructuredObserver
-from repro.api.sinks import LocalDirSink, MemorySink, ResultSink, payload_checksum
+from repro.api.sinks import MemorySink, ResultSink, payload_checksum
 from repro.checks import evaluate_checks
 from repro.execution.chaos import ChaosMonkey
 from repro.execution.policy import RetryPolicy
@@ -100,7 +99,6 @@ class ServiceConfig:
     workers: int = 2
     jobs: int = 1
     sink: Optional[ResultSink] = None
-    cache_dir: Union[None, str, Path] = None
     keep_going: bool = True
     max_failures: Optional[int] = None
     max_events: int = DEFAULT_MAX_EVENTS
@@ -119,9 +117,8 @@ class _QueueItem:
 class ExperimentService:
     """Queued execution of scenario runs with streaming and metrics.
 
-    The service owns one shared artifact sink (``config.sink``, or a
-    :class:`repro.api.LocalDirSink` when ``cache_dir`` is set, or an
-    in-process :class:`repro.api.MemorySink` otherwise), so resubmitting an
+    The service owns one shared artifact sink (``config.sink``, or an
+    in-process :class:`repro.api.MemorySink` when none is given), so resubmitting an
     identical scenario is served from cache, and ``GET /artifacts/{key}``
     can retrieve any stored payload by content hash.
     """
@@ -132,13 +129,7 @@ class ExperimentService:
             isinstance(self.config.workers, int) and self.config.workers >= 1,
             f"workers must be a positive integer, got {self.config.workers!r}",
         )
-        if self.config.sink is not None:
-            require(self.config.cache_dir is None, "pass cache_dir or sink, not both")
-            self.sink = self.config.sink
-        elif self.config.cache_dir is not None:
-            self.sink = LocalDirSink(self.config.cache_dir)
-        else:
-            self.sink = MemorySink()
+        self.sink = MemorySink() if self.config.sink is None else self.config.sink
         self.leases: Optional[LeaseRegistry] = None
         if self.config.coordinator:
             self.leases = LeaseRegistry(

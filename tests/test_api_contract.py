@@ -1,4 +1,5 @@
-"""Public-API contract snapshot: ``repro.api.__all__`` plus key signatures.
+"""Public-API contract snapshot: ``repro.__all__``, ``repro.api.__all__`` and
+key signatures.
 
 The point of ``repro.api`` is to be the *stable* surface everything else —
 programs, scenario files, the CLI, future distributed backends — builds on.
@@ -12,7 +13,36 @@ import inspect
 
 import pytest
 
+import repro
 from repro import api
+
+#: Frozen top-level export list (same rules as ``EXPECTED_ALL`` below).
+EXPECTED_TOP_LEVEL_ALL = [
+    "AsynchronousRumorSpreading",
+    "SynchronousRumorSpreading",
+    "SyncVariant",
+    "Variant",
+    "FaultModel",
+    "SpreadResult",
+    "DynamicNetwork",
+    "SnapshotRecorder",
+    "CallableDynamicNetwork",
+    "ExplicitSequenceNetwork",
+    "PeriodicSequenceNetwork",
+    "StaticDynamicNetwork",
+    "DiligentDynamicNetwork",
+    "AbsolutelyDiligentNetwork",
+    "CliqueBridgeNetwork",
+    "DynamicStarNetwork",
+    "EdgeMarkovianNetwork",
+    "MobileAgentsNetwork",
+    "TrialSummary",
+    "ExperimentPipeline",
+    "Scenario",
+    "api",
+    "build_network",
+    "__version__",
+]
 
 #: Frozen export list.  Additions are append-only; removals/renames are
 #: breaking changes and need a deliberate snapshot update.
@@ -108,6 +138,11 @@ class TestExportSnapshot:
     def test_every_export_resolves(self):
         for name in api.__all__:
             assert getattr(api, name) is not None
+
+    def test_top_level_all_is_frozen(self):
+        assert list(repro.__all__) == EXPECTED_TOP_LEVEL_ALL
+        for name in repro.__all__:
+            assert getattr(repro, name) is not None
 
     def test_run_returns_builder(self):
         assert isinstance(api.run(network="clique", n=8), api.RunBuilder)

@@ -568,12 +568,12 @@ class TestSeedVerdictRegression:
     }
 
     @pytest.fixture(scope="class")
-    def cache_dir(self, tmp_path_factory):
+    def sink_dir(self, tmp_path_factory):
         return str(tmp_path_factory.mktemp("seed-verdicts-cache"))
 
-    def test_report_json_verdicts_byte_identical_to_seed(self, cache_dir):
+    def test_report_json_verdicts_byte_identical_to_seed(self, sink_dir):
         buffer = io.StringIO()
-        code = main(["report", "--json", "--cache-dir", cache_dir], out=buffer)
+        code = main(["report", "--json", "--sink", sink_dir], out=buffer)
         assert code == 0
         document = json.loads(buffer.getvalue())
         verdicts = {experiment_id: result["passed"]
@@ -582,10 +582,10 @@ class TestSeedVerdictRegression:
                 == json.dumps(self.SEED_VERDICTS, sort_keys=True))
         assert document["passed"] == document["checked"] == len(self.SEED_VERDICTS)
 
-    def test_verify_agrees_with_report(self, cache_dir):
+    def test_verify_agrees_with_report(self, sink_dir):
         # Same cache dir: verify resumes from the report's artifacts.
         buffer = io.StringIO()
-        code = main(["verify", "--json", "--cache-dir", cache_dir], out=buffer)
+        code = main(["verify", "--json", "--sink", sink_dir], out=buffer)
         assert code == 0
         document = json.loads(buffer.getvalue())
         assert document["all_passed"] is True

@@ -56,6 +56,17 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize("command", [
+        ["verify"], ["report"], ["experiment", "E8"],
+        ["scenarios", "run", "scenarios.json"], ["serve"],
+    ])
+    def test_sink_and_no_cache_are_exclusive(self, command, capsys):
+        # --no-cache used to discard an explicit --sink without a word.
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(command + ["--sink", "memory://", "--no-cache"])
+        assert exit_info.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_list_prints_all_experiment_ids(self):
@@ -394,7 +405,7 @@ class TestScenariosCommands:
         )
         buffer = io.StringIO()
         code = main(
-            ["scenarios", "run", str(scenario_file), "--cache-dir", str(tmp_path / "cache")],
+            ["scenarios", "run", str(scenario_file), "--sink", str(tmp_path / "cache")],
             out=buffer,
         )
         assert code == 0

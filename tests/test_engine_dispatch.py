@@ -6,12 +6,9 @@ unsupported combination raises the same ``ValueError`` family from all three
 ``Scenario.bind()`` — never mid-run after trials have already burned time.
 """
 
-import warnings
-
 import pytest
 
 from repro import api
-from repro.api._deprecation import reset_warnings
 from repro.core.asynchronous import AsynchronousRumorSpreading
 from repro.core.batched import BatchedRumorSpreading
 from repro.api.builder import ENGINES, resolve_process
@@ -111,13 +108,11 @@ class TestEngineExecution:
         assert result.spread.completed and result.spread.n == 16
 
     def test_jit_engine_through_api(self):
-        # The retired name still runs, as the boundary engine.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            builder = api.run(network="clique", n=16).engine("jit")
-        trial_set = builder.trials(4).seed(4).collect()
-        boundary = api.run(network="clique", n=16).trials(4).seed(4).collect()
-        assert list(trial_set.spread_times) == list(boundary.spread_times)
+        # The retired name is an unknown engine like any other.
+        with pytest.raises(ValueError, match="engine must be one of"):
+            api.run(network="clique", n=16).engine("jit").collect()
+        with pytest.raises(ValueError, match="engine must be one of"):
+            Scenario(label="x", network="clique", params={"n": 8}, engine="jit")
 
     def test_auto_uses_batched_on_static_network(self):
         # Identical seeds: the auto path must reproduce the batched path
@@ -153,40 +148,3 @@ class TestEngineExecution:
     def test_default_engine_unchanged(self):
         assert api.run(network="clique", n=8).spec.engine == "boundary"
 
-
-def deprecations_from(*calls):
-    """Run ``calls`` from a fresh warn-once registry; return the warnings."""
-    reset_warnings()
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            results = [call() for call in calls]
-    finally:
-        reset_warnings()
-    messages = [
-        str(w.message) for w in caught if issubclass(w.category, DeprecationWarning)
-    ]
-    return messages, results
-
-
-class TestRetiredJitAlias:
-    """``engine="jit"`` maps to ``"boundary"`` with one warning per process."""
-
-    def test_builder_warns_once_and_runs_boundary(self):
-        jit = lambda: api.run(network="clique", n=8).engine("jit")
-        messages, builders = deprecations_from(jit, jit)
-        assert len(messages) == 1 and "'jit'" in messages[0]
-        assert all(b.spec.engine == "boundary" for b in builders)
-        assert builders[0].resolved_engine() == "boundary"
-        once = builders[0].seed(3).once().spread
-        reference = api.run(network="clique", n=8).seed(3).once().spread
-        assert once.informed_times == reference.informed_times
-
-    def test_scenario_warns_once_and_runs_boundary(self):
-        jit = lambda: Scenario(label="x", network="clique", params={"n": 8}, engine="jit")
-        messages, scenarios = deprecations_from(
-            jit, jit, lambda: Scenario.from_dict({**jit().to_dict(), "engine": "jit"})
-        )
-        assert len(messages) == 1 and "'jit'" in messages[0]
-        assert all(s.engine == "boundary" for s in scenarios)
-        assert scenarios[0] == Scenario(label="x", network="clique", params={"n": 8})
