@@ -4,7 +4,10 @@
 worker pool.  :func:`supervised_map` schedules every work item as its own
 future with retry/backoff/timeout (:class:`RetryPolicy`), recovers broken
 pools, and degrades to an in-process serial loop as a last resort; every
-recovery action is counted in an :class:`ExecutionReport`.  The seeded
+recovery action is counted in an :class:`ExecutionReport`.  Whether an item
+gets another attempt is decided by one :class:`AttemptLedger`, the state
+machine that also drives the worker fleet's leases
+(:class:`repro.service.leases.LeaseRegistry`).  The seeded
 :class:`ChaosMonkey` injects worker kills, raises, slow workers and artifact
 bit-rot deterministically so the recovery paths stay tested.
 """
@@ -17,6 +20,7 @@ from repro.execution.chaos import (
     chaos_from_env,
     parse_chaos_spec,
 )
+from repro.execution.ledger import AttemptLedger
 from repro.execution.policy import (
     DEFAULT_POLICY,
     ONE_SHOT_POLICY,
@@ -25,38 +29,27 @@ from repro.execution.policy import (
 )
 from repro.execution.report import ExecutionReport
 from repro.execution.supervisor import (
-    FAILURE_STATUSES,
-    STATUS_ABORTED,
-    STATUS_FAILED,
-    STATUS_OK,
-    STATUS_TIMEOUT,
     ItemFailedError,
     ItemOutcome,
     ItemTimeoutError,
-    MaxFailuresExceeded,
     fork_available,
     raise_first_failure,
     supervised_map,
 )
 
 __all__ = [
+    "AttemptLedger",
     "CHAOS_ENV",
     "ChaosError",
     "ChaosKill",
     "ChaosMonkey",
     "DEFAULT_POLICY",
     "ExecutionReport",
-    "FAILURE_STATUSES",
     "ItemFailedError",
     "ItemOutcome",
     "ItemTimeoutError",
-    "MaxFailuresExceeded",
     "ONE_SHOT_POLICY",
     "RetryPolicy",
-    "STATUS_ABORTED",
-    "STATUS_FAILED",
-    "STATUS_OK",
-    "STATUS_TIMEOUT",
     "chaos_from_env",
     "deterministic_uniform",
     "fork_available",

@@ -9,13 +9,15 @@ scheduler:
 * every work item is submitted **individually** (no chunking — one poisoned
   item can never fail its neighbours), with the number of queued futures
   bounded to at most 4× the worker count so dispatch overhead stays flat;
-* failed attempts retry with exponential backoff and deterministic jitter
-  (:class:`repro.execution.policy.RetryPolicy`), up to ``max_attempts``;
+* whether an item gets another attempt is decided by one
+  :class:`repro.execution.ledger.AttemptLedger`, the state machine that also
+  drives the worker fleet's leases; retries back off exponentially with
+  deterministic jitter (:class:`repro.execution.policy.RetryPolicy`);
 * a broken pool (a worker killed by the OOM reaper, a chaos ``os._exit``)
   is respawned and its in-flight items re-leased;
 * per-item wall-clock timeouts are enforced by recycling the pool (the only
-  way to reclaim a stuck worker) and re-leasing the innocent in-flight items
-  without consuming one of their attempts;
+  way to reclaim a stuck worker); the innocent in-flight items are released
+  back to the ledger with their attempts refunded;
 * when pool breaks exceed ``max_pool_respawns``, execution degrades to an
   in-process serial loop so a sweep always makes progress.
 
@@ -44,17 +46,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.execution.chaos import ChaosMonkey
+from repro.execution.ledger import OK, TIMEOUT, AttemptLedger
 from repro.execution.policy import DEFAULT_POLICY, RetryPolicy
 from repro.execution.report import ExecutionReport
-
-#: Item outcome statuses.
-STATUS_OK = "ok"
-STATUS_FAILED = "failed"
-STATUS_TIMEOUT = "timeout"
-STATUS_ABORTED = "aborted"
-
-#: Statuses that mean "no payload was produced".
-FAILURE_STATUSES = (STATUS_FAILED, STATUS_TIMEOUT, STATUS_ABORTED)
 
 
 class ItemFailedError(RuntimeError):
@@ -65,14 +59,6 @@ class ItemTimeoutError(ItemFailedError):
     """A supervised item exceeded its wall-clock timeout on every attempt."""
 
 
-class MaxFailuresExceeded(RuntimeError):
-    """More items failed than the configured failure budget tolerates."""
-
-    def __init__(self, message: str, outcomes: Sequence["ItemOutcome"] = ()):
-        super().__init__(message)
-        self.outcomes = list(outcomes)
-
-
 def fork_available() -> bool:
     """True when the ``fork`` start method exists on this platform."""
     return "fork" in multiprocessing.get_all_start_methods()
@@ -80,7 +66,11 @@ def fork_available() -> bool:
 
 @dataclass(frozen=True)
 class ItemOutcome:
-    """The terminal state of one supervised work item."""
+    """The terminal state of one supervised work item.
+
+    ``status`` is the item's terminal ledger state: ``"ok"``, ``"failed"``,
+    ``"timeout"`` or ``"aborted"``.
+    """
 
     index: int
     status: str
@@ -92,7 +82,7 @@ class ItemOutcome:
     @property
     def ok(self) -> bool:
         """True when the item produced a value."""
-        return self.status == STATUS_OK
+        return self.status == OK
 
 
 #: Payload inherited by forked workers (set only around a supervised run).
@@ -110,78 +100,18 @@ def _supervised_call(index: int, attempt: int):
     return fn(items[index])
 
 
-class _ItemState:
-    """Mutable per-item bookkeeping while a supervised run is in progress."""
-
-    __slots__ = ("index", "attempts", "outcome")
-
-    def __init__(self, index: int):
-        self.index = index
-        self.attempts = 0
-        self.outcome: Optional[ItemOutcome] = None
-
-
 def _describe(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _serial_run(
-    fn: Callable,
-    items: Sequence,
-    states: List[_ItemState],
-    policy: RetryPolicy,
-    chaos: Optional[ChaosMonkey],
-    report: ExecutionReport,
-    max_failures: Optional[int],
-    failures: int = 0,
-) -> None:
-    """Run every unfinished item in-process, honouring retry and chaos.
+class _Supervisor:
+    """One supervised run, over a (respawnable) forked pool or in-process.
 
-    Continues existing attempt counts (the pool path hands over here when it
-    degrades), so an item's total attempts stay bounded by ``max_attempts``.
-    Wall-clock timeouts cannot preempt an in-process item and are not
-    enforced on this path.
+    The :class:`AttemptLedger` decides every item's fate; this class keeps
+    what the ledger does not: produced values, the exception behind a
+    terminal failure, the run-wide failure count behind ``max_failures``,
+    and the pool's scheduling state.
     """
-    for state in states:
-        if state.outcome is not None:
-            continue
-        while state.outcome is None:
-            state.attempts += 1
-            try:
-                if chaos is not None:
-                    # In-process, a chaos kill degrades to ChaosKill (raise).
-                    chaos.maybe_inject(state.index, state.attempts)
-                value = fn(items[state.index])
-            except Exception as exc:
-                if state.attempts >= policy.max_attempts:
-                    state.outcome = ItemOutcome(
-                        state.index, STATUS_FAILED, error=_describe(exc),
-                        attempts=state.attempts, exception=exc,
-                    )
-                    failures += 1
-                else:
-                    report.retries += 1
-                    time.sleep(policy.backoff_delay(state.index, state.attempts + 1))
-            else:
-                state.outcome = ItemOutcome(
-                    state.index, STATUS_OK, value=value, attempts=state.attempts
-                )
-        if max_failures is not None and failures > max_failures:
-            _abort_remaining(states, failures, max_failures)
-            return
-
-
-def _abort_remaining(states: List[_ItemState], failures: int, max_failures: int) -> None:
-    message = f"aborted after {failures} failures (max_failures={max_failures})"
-    for state in states:
-        if state.outcome is None:
-            state.outcome = ItemOutcome(
-                state.index, STATUS_ABORTED, error=message, attempts=state.attempts
-            )
-
-
-class _PoolSupervisor:
-    """One supervised run over a (respawnable) forked process pool."""
 
     def __init__(
         self,
@@ -195,21 +125,87 @@ class _PoolSupervisor:
     ):
         self.fn = fn
         self.items = items
-        self.workers = min(workers, len(items))
         self.policy = policy
         self.chaos = chaos
         self.report = report
         self.max_failures = max_failures
-        self.states = [_ItemState(index) for index in range(len(items))]
+        self.ledger = AttemptLedger(policy.max_attempts, range(len(items)))
+        self.values: Dict[int, Any] = {}
+        self.exceptions: Dict[int, Optional[BaseException]] = {}
+        self.failures = 0
+        self.aborted = False
+        self.workers = min(workers, len(items))
+        #: True once attempts run in this process: no pool, or a degraded one.
+        self.in_process = self.workers < 2 or not fork_available()
         #: (ready_at, index) heap of items awaiting (re)submission.
         self.ready: List[Tuple[float, int]] = [(0.0, index) for index in range(len(items))]
         heapq.heapify(self.ready)
         #: future -> (index, deadline) for submitted attempts.
         self.inflight: Dict[Any, Tuple[int, float]] = {}
-        self.failures = 0
         self.breaks = 0
-        self.aborted = False
-        self.degraded = False
+
+    def _succeed(self, index: int, value: Any) -> None:
+        self.ledger.succeed(index)
+        self.values[index] = value
+
+    def _fail(
+        self,
+        index: int,
+        error: str,
+        exception: Optional[BaseException] = None,
+        timeout: bool = False,
+    ) -> None:
+        """Charge a failed attempt; back off before the retry unless terminal.
+
+        In-process the backoff is slept here; on the pool the item waits in
+        the ready heap while other items run.
+        """
+        if self.ledger.fail(index, error, timeout=timeout):
+            self.exceptions[index] = exception
+            self.failures += 1
+            if self.max_failures is not None and self.failures > self.max_failures:
+                self.aborted = True
+            return
+        self.report.retries += 1
+        delay = self.policy.backoff_delay(index, self.ledger.records[index].attempts + 1)
+        if self.in_process:
+            time.sleep(delay)
+        else:
+            heapq.heappush(self.ready, (time.monotonic() + delay, index))
+
+    def _serial(self) -> None:
+        """Run every open item in-process, honouring retry and chaos.
+
+        Continues existing attempt counts (the pool path hands over here when
+        it degrades), so an item's total attempts stay bounded by
+        ``max_attempts``.  Wall-clock timeouts cannot preempt an in-process
+        item and are not enforced on this path.
+        """
+        for index in range(len(self.items)):
+            while self.ledger.records[index].open and not self.aborted:
+                attempt = self.ledger.grant(index)
+                try:
+                    if self.chaos is not None:
+                        # In-process, a chaos kill degrades to ChaosKill (raise).
+                        self.chaos.maybe_inject(index, attempt)
+                    value = self.fn(self.items[index])
+                except Exception as exc:
+                    self._fail(index, _describe(exc), exception=exc)
+                else:
+                    self._succeed(index, value)
+
+    def _outcomes(self) -> List[ItemOutcome]:
+        if self.aborted:
+            self.ledger.abort_open(
+                f"aborted after {self.failures} failures (max_failures={self.max_failures})"
+            )
+        return [
+            ItemOutcome(
+                index, record.state, value=self.values.get(index), error=record.error,
+                attempts=record.attempts, exception=self.exceptions.get(index),
+            )
+            for index, record in self.ledger.records.items()
+        ]
 
     # -- pool lifecycle ----------------------------------------------------
 
@@ -253,59 +249,32 @@ class _PoolSupervisor:
             if ready_at > now:
                 break
             heapq.heappop(self.ready)
-            state = self.states[index]
-            state.attempts += 1
+            attempt = self.ledger.grant(index)
             try:
-                future = pool.submit(_supervised_call, index, state.attempts)
+                future = pool.submit(_supervised_call, index, attempt)
             except (BrokenProcessPool, RuntimeError):
-                # Pool already broke; undo and let the break handler re-lease.
-                state.attempts -= 1
+                # Pool already broke; refund and let the break handler re-lease.
+                self.ledger.release(index)
                 heapq.heappush(self.ready, (ready_at, index))
                 return True
             deadline = now + self.policy.timeout if self.policy.timeout else math.inf
             self.inflight[future] = (index, deadline)
         return False
 
-    def _retry_or_fail(
-        self,
-        state: _ItemState,
-        error: str,
-        exception: Optional[BaseException] = None,
-        timeout: bool = False,
-    ) -> None:
-        if state.attempts >= self.policy.max_attempts:
-            status = STATUS_TIMEOUT if timeout else STATUS_FAILED
-            state.outcome = ItemOutcome(
-                state.index, status, error=error,
-                attempts=state.attempts, exception=exception,
-            )
-            self.failures += 1
-            if self.max_failures is not None and self.failures > self.max_failures:
-                self.aborted = True
-        else:
-            self.report.retries += 1
-            ready_at = time.monotonic() + self.policy.backoff_delay(
-                state.index, state.attempts + 1
-            )
-            heapq.heappush(self.ready, (ready_at, state.index))
-
     def _consume(self, done) -> bool:
         """Record completed futures; True when the pool broke underneath."""
         broke = False
         for future in done:
             index, _deadline = self.inflight.pop(future)
-            state = self.states[index]
             try:
                 value = future.result()
             except BrokenProcessPool:
                 broke = True
-                self._retry_or_fail(state, "worker process died (process pool broken)")
+                self._fail(index, "worker process died (process pool broken)")
             except Exception as exc:
-                self._retry_or_fail(state, _describe(exc), exception=exc)
+                self._fail(index, _describe(exc), exception=exc)
             else:
-                state.outcome = ItemOutcome(
-                    index, STATUS_OK, value=value, attempts=state.attempts
-                )
+                self._succeed(index, value)
         return broke
 
     def _handle_break(self, pool) -> Optional[ProcessPoolExecutor]:
@@ -315,20 +284,11 @@ class _PoolSupervisor:
         charged as used — chaos decisions advance and a deterministic killer
         cannot livelock the supervisor.
         """
-        self.report.pool_respawns += 1
         self.breaks += 1
-        for future, (index, _deadline) in list(self.inflight.items()):
-            self._retry_or_fail(
-                self.states[index], "worker process died (process pool broken)"
-            )
-        self.inflight.clear()
-        self._shutdown(pool, force=True)
-        if self.aborted:
-            return None
-        if self.breaks > self.policy.max_pool_respawns:
-            self.degraded = True
-            return None
-        return self._new_pool()
+        for index, _deadline in self.inflight.values():
+            self._fail(index, "worker process died (process pool broken)")
+        self.in_process = self.breaks > self.policy.max_pool_respawns
+        return self._recycle(pool)
 
     def _enforce_deadlines(self, pool) -> Optional[ProcessPoolExecutor]:
         """Censor timed-out attempts; recycle the pool to reclaim workers."""
@@ -345,21 +305,21 @@ class _PoolSupervisor:
         self.report.timeouts += len(expired)
         for future, index in expired:
             del self.inflight[future]
-            self._retry_or_fail(
-                self.states[index],
-                f"attempt timed out after {self.policy.timeout:g}s",
-                timeout=True,
-            )
+            self._fail(index, f"attempt timed out after {self.policy.timeout:g}s", timeout=True)
         # The stuck workers can only be reclaimed by recycling the pool.
-        # Innocent in-flight attempts are re-leased without consuming an
+        # Innocent in-flight attempts are released without consuming an
         # attempt: the supervisor interrupted them, they did not fail.
-        for future, (index, _deadline) in list(self.inflight.items()):
-            self.states[index].attempts -= 1
+        for index, _deadline in self.inflight.values():
+            self.ledger.release(index)
             heapq.heappush(self.ready, (time.monotonic(), index))
-        self.inflight.clear()
+        return self._recycle(pool)
+
+    def _recycle(self, pool) -> Optional[ProcessPoolExecutor]:
+        """Tear the pool down; a fresh one unless the run aborted or degraded."""
         self.report.pool_respawns += 1
+        self.inflight.clear()
         self._shutdown(pool, force=True)
-        if self.aborted:
+        if self.aborted or self.in_process:
             return None
         return self._new_pool()
 
@@ -373,40 +333,35 @@ class _PoolSupervisor:
             return None
         return max(0.0, next_event - time.monotonic()) + 0.005
 
-    def _unfinished(self) -> bool:
-        return any(state.outcome is None for state in self.states)
-
     # -- the supervision loop ----------------------------------------------
 
     def run(self) -> List[ItemOutcome]:
-        global _PAYLOAD
-        with _PAYLOAD_LOCK:
-            _PAYLOAD = (self.fn, self.items, self.chaos)
-            try:
-                self._loop()
-            finally:
-                _PAYLOAD = None
-        if self.aborted:
-            _abort_remaining(self.states, self.failures, self.max_failures)
-        return [state.outcome for state in self.states]
+        if self.in_process:
+            self._serial()
+        else:
+            global _PAYLOAD
+            with _PAYLOAD_LOCK:
+                _PAYLOAD = (self.fn, self.items, self.chaos)
+                try:
+                    self._loop()
+                finally:
+                    _PAYLOAD = None
+        return self._outcomes()
 
     def _loop(self) -> None:
         pool: Optional[ProcessPoolExecutor] = self._new_pool()
         try:
-            while self._unfinished() and not self.aborted:
-                if self.degraded or pool is None:
-                    break
+            # Every open item is either waiting in ``ready`` or in flight.
+            while pool is not None and (self.ready or self.inflight) and not self.aborted:
                 if self._submit_ready(pool):
                     pool = self._handle_break(pool)
                     continue
                 if not self.inflight:
-                    if self.ready:
-                        # Everything eligible is backing off; sleep until the
-                        # earliest retry becomes ready.
-                        delay = max(0.0, self.ready[0][0] - time.monotonic())
-                        time.sleep(min(delay, 0.25))
-                        continue
-                    break
+                    # Everything eligible is backing off; sleep until the
+                    # earliest retry becomes ready.
+                    delay = max(0.0, self.ready[0][0] - time.monotonic())
+                    time.sleep(min(delay, 0.25))
+                    continue
                 done, _pending = wait_futures(
                     set(self.inflight), timeout=self._wait_timeout(),
                     return_when=FIRST_COMPLETED,
@@ -417,13 +372,10 @@ class _PoolSupervisor:
                 pool = self._enforce_deadlines(pool)
         finally:
             self._shutdown(pool, force=self.aborted or bool(self.inflight))
-        if self.degraded and self._unfinished() and not self.aborted:
+        if self.in_process and self.ready and not self.aborted:
             # Last resort: finish the remaining items in-process.
             self.report.serial_fallbacks += 1
-            _serial_run(
-                self.fn, self.items, self.states, self.policy, self.chaos,
-                self.report, self.max_failures, failures=self.failures,
-            )
+            self._serial()
 
 
 def supervised_map(
@@ -450,14 +402,7 @@ def supervised_map(
     if not items:
         return []
     report.items += len(items)
-    if workers > 1 and len(items) > 1 and fork_available():
-        outcomes = _PoolSupervisor(
-            fn, items, workers, policy, chaos, report, max_failures
-        ).run()
-    else:
-        states = [_ItemState(index) for index in range(len(items))]
-        _serial_run(fn, items, states, policy, chaos, report, max_failures)
-        outcomes = [state.outcome for state in states]
+    outcomes = _Supervisor(fn, items, workers, policy, chaos, report, max_failures).run()
     report.succeeded += sum(1 for outcome in outcomes if outcome.ok)
     report.failures += sum(1 for outcome in outcomes if not outcome.ok)
     return outcomes
@@ -477,21 +422,15 @@ def raise_first_failure(outcomes: Sequence[ItemOutcome]) -> None:
         if outcome.exception is not None:
             raise outcome.exception
         message = f"item {outcome.index}: {outcome.error}"
-        if outcome.status == STATUS_TIMEOUT:
+        if outcome.status == TIMEOUT:
             raise ItemTimeoutError(message)
         raise ItemFailedError(message)
 
 
 __all__ = [
-    "FAILURE_STATUSES",
     "ItemFailedError",
     "ItemOutcome",
     "ItemTimeoutError",
-    "MaxFailuresExceeded",
-    "STATUS_ABORTED",
-    "STATUS_FAILED",
-    "STATUS_OK",
-    "STATUS_TIMEOUT",
     "fork_available",
     "raise_first_failure",
     "supervised_map",

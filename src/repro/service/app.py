@@ -266,10 +266,10 @@ class ExperimentService:
         The coordinator resolves cache hits itself (a fully cached run needs
         no workers at all — that is the resume contract), enqueues every
         missing point in the lease registry, then blocks until each task is
-        terminal — completed by some worker, failed on an exhausted attempt
-        budget, or aborted by shutdown.  Payloads are read back from the
-        shared sink, so the assembled results are bit-identical to what a
-        single-machine pipeline run would return.
+        terminal — completed by some worker, failed or timed out on an
+        exhausted attempt budget, or aborted by shutdown.  Payloads are read
+        back from the shared sink, so the assembled results are bit-identical
+        to what a single-machine pipeline run would return.
         """
         points = [point for scenario in record.scenarios for point in scenario.points()]
         entries = []  # (point, key, task | None, cached payload | None)
@@ -325,15 +325,14 @@ class ExperimentService:
                 ))
             else:
                 report.failures += 1
+                # The ledger's terminal state is the supervisor's status: a
+                # point whose last lease expired ends "timeout".
+                status, error = task.record.state, task.error
                 if task.state == "completed":
                     status, error = "failed", (
                         "worker reported completion but the artifact is "
                         "missing from the shared sink"
                     )
-                elif task.state == "aborted":
-                    status, error = "aborted", task.error
-                else:
-                    status, error = "failed", task.error
                 results.append(PointResult(
                     scenario=point.scenario, value=point.value, index=point.index,
                     key=key, payload=None, cached=False, status=status,

@@ -1,20 +1,14 @@
-"""Point leases: the cross-machine shape of the supervisor's retry semantics.
+"""Point leases: the worker fleet's transport for scenario points.
 
 A coordinator-mode service does not execute scenario points itself; it hands
 them out as **leases** to remote workers (``repro worker``).  A lease is one
-attempt at one point, bounded by a wall-clock TTL — exactly the shape of
-:mod:`repro.execution.supervisor`'s per-item futures, lifted across the wire:
-
-* acquiring a lease charges an **attempt** (the supervisor's per-item attempt
-  counter), so a point whose attempts are exhausted goes terminal instead of
-  cycling forever;
-* a lease that outlives its TTL is **reclaimed**: the point returns to the
-  pending pool for re-issue (the supervisor's broken-pool re-lease), counted
-  as a timeout, *without* charging a second attempt for the same grant;
-* a **stale** completion — the worker finished after its lease was reclaimed
-  — is accepted as a completion when the point is still open (artifact writes
-  are content-addressed and idempotent, so late results are never wrong) and
-  ignored once the point is terminal.
+attempt at one point, bounded by a wall-clock TTL.  Whether a point gets
+another attempt is decided by the same :class:`repro.execution.ledger.AttemptLedger`
+that drives the local supervisor: a grant charges an attempt, a lease that
+outlives its TTL is **reclaimed** as a timed-out attempt (counted in
+``reclaims``, never charged twice), and a **stale** completion (the worker
+finished after its lease was reclaimed) is accepted while the point is still
+open, because artifact writes are content-addressed and idempotent.
 
 Determinism note: lease *placement* carries no entropy.  Every point derives
 its payload purely from the scenario seed policy, so which worker computes a
@@ -34,15 +28,22 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.execution.ledger import (
+    ABORTED, FAILED, OK, PENDING, RUNNING, TIMEOUT, AttemptLedger, AttemptRecord,
+)
 from repro.utils.validation import require
 
-#: Task lifecycle states.  ``pending`` and ``leased`` are open; the rest are
-#: terminal at the task level (``completed`` may still be re-marked from a
-#: stale lease, which is a no-op).
-TASK_STATES = ("pending", "leased", "completed", "failed", "aborted")
-
-#: States in which a task will receive no further leases.
-TERMINAL_TASK_STATES = ("completed", "failed", "aborted")
+#: Ledger state -> lease wire name (``PointTask.state``, ``GET /leases``).
+#: A reclaimed-out point is ``timeout`` in the ledger but ``failed`` on the
+#: wire; run results report the ledger state.
+LEASE_STATES = {
+    PENDING: "pending",
+    RUNNING: "leased",
+    OK: "completed",
+    FAILED: "failed",
+    TIMEOUT: "failed",
+    ABORTED: "aborted",
+}
 
 #: Default seconds a lease may run before it is reclaimed.
 DEFAULT_LEASE_TTL = 60.0
@@ -59,16 +60,16 @@ class PointTask:
     (the scenario's ``to_dict()`` plus the point's sweep value and index);
     ``key`` is the point's content-addressed cache key, so workers and the
     coordinator agree on where the artifact lives without re-deriving it.
+    ``record`` is the point's live ledger entry, the source of ``state``,
+    ``attempts`` and ``error``.
     """
 
     run_id: str
     task_id: str
     spec: Dict[str, Any]
     key: str
-    state: str = "pending"
-    attempts: int = 0
+    record: AttemptRecord
     reclaims: int = 0
-    error: Optional[str] = None
     worker: Optional[str] = None
     lease_id: Optional[str] = None
     lease_expires: Optional[float] = None
@@ -76,8 +77,16 @@ class PointTask:
     cached: bool = False
 
     @property
-    def open(self) -> bool:
-        return self.state not in TERMINAL_TASK_STATES
+    def state(self) -> str:
+        return LEASE_STATES[self.record.state]
+
+    @property
+    def attempts(self) -> int:
+        return self.record.attempts
+
+    @property
+    def error(self) -> Optional[str]:
+        return self.record.error
 
     def as_dict(self) -> Dict[str, Any]:
         """JSON-ready task status (the ``GET /leases`` listing entry)."""
@@ -127,8 +136,8 @@ class LeaseRegistry:
     ttl:
         Seconds a lease may run before an expiry sweep reclaims it.
     max_attempts:
-        Attempt budget per point (grants, including reclaimed re-issues).
-        Once exhausted, the point goes terminal ``failed``.
+        Attempt budget per point (grants, including reclaimed re-issues),
+        kept by the registry's :class:`AttemptLedger`.
     clock:
         Monotonic time source (injectable for deterministic expiry tests).
     """
@@ -140,21 +149,18 @@ class LeaseRegistry:
         clock: Callable[[], float] = time.monotonic,
     ):
         require(ttl > 0, f"lease ttl must be positive, got {ttl!r}")
-        require(isinstance(max_attempts, int) and max_attempts >= 1,
-                f"max_attempts must be a positive integer, got {max_attempts!r}")
+        self._ledger = AttemptLedger(max_attempts)
         self.ttl = float(ttl)
         self.max_attempts = max_attempts
         self._clock = clock
         self._cond = threading.Condition()
+        # Tasks, workers and leases are never removed, so each dict's size
+        # numbers the next id and its insertion order is submission order.
         self._tasks: Dict[str, PointTask] = {}
-        self._order: List[str] = []
         self._workers: Dict[str, Dict[str, Any]] = {}
         # Every lease ever granted, so stale reports (reclaimed leases)
         # still resolve to their task.  Bounded by points × max_attempts.
         self._leases: Dict[str, PointTask] = {}
-        self._task_counter = 0
-        self._lease_counter = 0
-        self._worker_counter = 0
         #: Reclamations performed (expired leases returned to the pool).
         self.reclaimed = 0
 
@@ -163,28 +169,17 @@ class LeaseRegistry:
     def add_point(self, run_id: str, spec: Dict[str, Any], key: str) -> PointTask:
         """Enqueue one leaseable point for ``run_id``; returns its task."""
         with self._cond:
-            self._task_counter += 1
+            task_id = f"task-{len(self._tasks) + 1:06d}"
             task = PointTask(
                 run_id=run_id,
-                task_id=f"task-{self._task_counter:06d}",
+                task_id=task_id,
                 spec=spec,
                 key=key,
+                record=self._ledger.add(task_id),
             )
-            self._tasks[task.task_id] = task
-            self._order.append(task.task_id)
+            self._tasks[task_id] = task
             self._cond.notify_all()
             return task
-
-    def run_tasks(self, run_id: str) -> List[PointTask]:
-        """The run's tasks, in submission (= scenario point) order."""
-        with self._cond:
-            return [self._tasks[task_id] for task_id in self._order
-                    if self._tasks[task_id].run_id == run_id]
-
-    def run_finished(self, run_id: str) -> bool:
-        with self._cond:
-            return all(not task.open for task in self._tasks.values()
-                       if task.run_id == run_id)
 
     def wait_run(self, run_id: str, timeout: Optional[float] = None,
                  poll: float = 0.25) -> bool:
@@ -197,8 +192,8 @@ class LeaseRegistry:
         deadline = None if timeout is None else self._clock() + timeout
         with self._cond:
             while True:
-                self._reclaim_expired_locked()
-                if all(not task.open for task in self._tasks.values()
+                self.reclaim_expired()
+                if all(not task.record.open for task in self._tasks.values()
                        if task.run_id == run_id):
                     return True
                 if deadline is not None and self._clock() >= deadline:
@@ -211,12 +206,10 @@ class LeaseRegistry:
     def abort_open(self, run_id: Optional[str] = None, error: str = "aborted") -> int:
         """Force every open task (of ``run_id``, or all runs) terminal."""
         with self._cond:
-            aborted = 0
-            for task in self._tasks.values():
-                if task.open and (run_id is None or task.run_id == run_id):
-                    task.state = "aborted"
-                    task.error = error
-                    aborted += 1
+            aborted = self._ledger.abort_open(error, [
+                task.task_id for task in self._tasks.values()
+                if run_id is None or task.run_id == run_id
+            ])
             if aborted:
                 self._cond.notify_all()
             return aborted
@@ -226,8 +219,7 @@ class LeaseRegistry:
     def register_worker(self, name: Optional[str] = None) -> str:
         """Register a worker; returns its stable id."""
         with self._cond:
-            self._worker_counter += 1
-            worker_id = f"worker-{self._worker_counter:06d}"
+            worker_id = f"worker-{len(self._workers) + 1:06d}"
             self._workers[worker_id] = {
                 "id": worker_id,
                 "name": name or worker_id,
@@ -246,24 +238,21 @@ class LeaseRegistry:
         """Grant up to ``max_points`` leases to ``worker`` (oldest first).
 
         Sweeps expired leases first, so a reclaimed point is immediately
-        re-issuable.  Each grant charges one attempt.
+        re-issuable.
         """
         require(isinstance(max_points, int) and max_points >= 1,
                 f"max_points must be a positive integer, got {max_points!r}")
         with self._cond:
-            self._reclaim_expired_locked()
+            self.reclaim_expired()
             grants: List[Lease] = []
-            for task_id in self._order:
+            for task in self._tasks.values():
                 if len(grants) >= max_points:
                     break
-                task = self._tasks[task_id]
-                if task.state != "pending":
+                if task.record.state != PENDING:
                     continue
-                self._lease_counter += 1
-                lease_id = f"lease-{self._lease_counter:06d}"
+                lease_id = f"lease-{len(self._leases) + 1:06d}"
                 self._leases[lease_id] = task
-                task.state = "leased"
-                task.attempts += 1
+                attempt = self._ledger.grant(task.task_id)
                 task.worker = worker
                 task.lease_id = lease_id
                 task.lease_expires = self._clock() + self.ttl
@@ -271,107 +260,84 @@ class LeaseRegistry:
                     self._workers[worker]["leases_granted"] += 1
                 grants.append(Lease(
                     lease_id=lease_id, worker=worker, task=task,
-                    attempt=task.attempts, ttl=self.ttl,
+                    attempt=attempt, ttl=self.ttl,
                 ))
             return grants
 
     def open_work(self) -> bool:
         """True while any task could still receive (or holds) a lease."""
-        with self._cond:
-            return any(task.open for task in self._tasks.values())
+        return self.open_count() > 0
 
     def open_count(self) -> int:
         """How many tasks are not yet terminal (a ``/metrics`` gauge)."""
         with self._cond:
-            return sum(1 for task in self._tasks.values() if task.open)
+            return sum(1 for task in self._tasks.values() if task.record.open)
 
     def complete(self, lease_id: str, worker: str,
                  cached: bool = False) -> Tuple[Optional[PointTask], bool]:
         """Record a successful attempt; returns ``(task, accepted)``.
 
-        A completion is accepted while its point is open — even when the
-        reporting lease was reclaimed (the artifact is content-addressed, so
-        a late result is identical to a fresh one).  Completions against a
-        terminal point are ignored; no path charges an extra attempt.
+        Accepted while the point is open, even from a reclaimed lease: the
+        artifact is content-addressed, so a late result equals a fresh one.
         """
         with self._cond:
-            task = self._task_for_lease(lease_id)
+            task = self._leases.get(lease_id)
             if task is None:
                 return None, False
-            if not task.open:
+            if not self._ledger.succeed(task.task_id):
                 return task, False
-            task.state = "completed"
-            task.error = None
             task.cached = bool(cached)
             task.completed_by = worker
-            task.worker = None
-            task.lease_id = None
-            task.lease_expires = None
+            self._end_lease(task)
             if worker in self._workers:
                 self._workers[worker]["completions"] += 1
             self._cond.notify_all()
             return task, True
 
     def fail(self, lease_id: str, worker: str, error: str) -> Tuple[Optional[PointTask], bool]:
-        """Record a failed attempt; re-pends or exhausts the point's budget.
+        """Record a failed attempt; the ledger re-pends the point or ends it.
 
-        The attempt was charged at grant time, so failing charges nothing
-        extra.  Stale failures (reclaimed or terminal point) are ignored —
-        the reclamation already handled the attempt.
+        Stale failures (reclaimed or terminal point) are ignored — the
+        reclamation already handled the attempt.
         """
         with self._cond:
-            task = self._task_for_lease(lease_id)
-            if task is None or not task.open or task.lease_id != lease_id:
+            task = self._leases.get(lease_id)
+            if task is None or not task.record.open or task.lease_id != lease_id:
                 return task, False
-            task.worker = None
-            task.lease_id = None
-            task.lease_expires = None
-            if task.attempts >= self.max_attempts:
-                task.state = "failed"
-                task.error = error
-            else:
-                task.state = "pending"
-                task.error = error
+            self._end_lease(task)
+            self._ledger.fail(task.task_id, error)
             self._cond.notify_all()
             return task, True
 
     # -- expiry --------------------------------------------------------------
 
     def reclaim_expired(self) -> int:
-        """Sweep expired leases back to the pool; returns how many."""
+        """Sweep expired leases back to the pool; returns how many.
+
+        Callers that already hold the (reentrant) lock call this directly.
+        """
         with self._cond:
-            return self._reclaim_expired_locked()
+            now = self._clock()
+            reclaimed = 0
+            for task in self._tasks.values():
+                if task.record.state != RUNNING or now < task.lease_expires:
+                    continue
+                error = (f"lease {task.lease_id} expired after {self.ttl:g}s "
+                         f"on {task.worker}")
+                self._end_lease(task)
+                task.reclaims += 1
+                # The expired grant's attempt is already charged; the ledger
+                # re-pends without charging another (the next grant will).
+                self._ledger.fail(task.task_id, error, timeout=True)
+                reclaimed += 1
+            if reclaimed:
+                self.reclaimed += reclaimed
+                self._cond.notify_all()
+            return reclaimed
 
-    def _reclaim_expired_locked(self) -> int:
-        now = self._clock()
-        reclaimed = 0
-        for task in self._tasks.values():
-            if task.state != "leased" or task.lease_expires is None:
-                continue
-            if now < task.lease_expires:
-                continue
-            error = (f"lease {task.lease_id} expired after {self.ttl:g}s "
-                     f"on {task.worker}")
-            task.worker = None
-            task.lease_id = None
-            task.lease_expires = None
-            task.reclaims += 1
-            # The expired grant's attempt is already charged; re-pending
-            # does not charge another (the next grant will).
-            if task.attempts >= self.max_attempts:
-                task.state = "failed"
-                task.error = f"{error}; attempt budget ({self.max_attempts}) exhausted"
-            else:
-                task.state = "pending"
-                task.error = error
-            reclaimed += 1
-        if reclaimed:
-            self.reclaimed += reclaimed
-            self._cond.notify_all()
-        return reclaimed
-
-    def _task_for_lease(self, lease_id: str) -> Optional[PointTask]:
-        return self._leases.get(lease_id)
+    @staticmethod
+    def _end_lease(task: PointTask) -> None:
+        task.worker = task.lease_id = task.lease_expires = None
 
     def as_dict(self) -> Dict[str, Any]:
         """JSON-ready listing of every task (the ``GET /leases`` body)."""
@@ -380,7 +346,7 @@ class LeaseRegistry:
                 "ttl": self.ttl,
                 "max_attempts": self.max_attempts,
                 "reclaimed": self.reclaimed,
-                "tasks": [self._tasks[task_id].as_dict() for task_id in self._order],
+                "tasks": [task.as_dict() for task in self._tasks.values()],
                 "workers": [dict(entry) for entry in self._workers.values()],
             }
 
@@ -388,9 +354,8 @@ class LeaseRegistry:
 __all__ = [
     "DEFAULT_LEASE_ATTEMPTS",
     "DEFAULT_LEASE_TTL",
+    "LEASE_STATES",
     "Lease",
     "LeaseRegistry",
     "PointTask",
-    "TASK_STATES",
-    "TERMINAL_TASK_STATES",
 ]

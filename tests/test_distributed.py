@@ -413,6 +413,40 @@ class TestCoordinatedExecution:
             server.server_close()
             service.shutdown(drain=False, timeout=30)
 
+    def test_last_lease_expiry_reports_timeout(self):
+        # Same status the local supervisor gives a point whose last attempt
+        # timed out; the lease listing keeps its wire name "failed".
+        service = ExperimentService(ServiceConfig(
+            workers=1, coordinator=True, sink=MemorySink(),
+            lease_ttl=0.05, lease_attempts=1,
+        ))
+        server = create_server(service, port=0)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        base = f"http://127.0.0.1:{server.server_address[1]}"
+        client = ServiceClient(base)
+        try:
+            submitted = client.submit(dict(SWEEP_SCENARIO, sweep=[12]))
+            hung = client.register_worker("hung")
+            deadline = time.monotonic() + WAIT
+            while time.monotonic() < deadline:
+                grabbed = client.acquire_leases(hung, max_points=1)
+                if grabbed["state"] == "granted":
+                    break
+                time.sleep(0.01)
+            assert grabbed["state"] == "granted"
+
+            detail = client.wait(submitted["id"], timeout=WAIT)
+            (point,) = detail["result"]["points"]
+            assert point["status"] == "timeout" and point["attempts"] == 1
+            assert "attempt budget (1) exhausted" in point["error"]
+            assert detail["result"]["execution"]["timeouts"] == 1
+            (task,) = client.leases()["tasks"]
+            assert task["state"] == "failed" and task["reclaims"] == 1
+        finally:
+            server.shutdown()
+            server.server_close()
+            service.shutdown(drain=False, timeout=30)
+
 
 def _run_cli(argv, cwd, env=None, timeout=WAIT):
     return subprocess.run(

@@ -11,7 +11,7 @@ import pytest
 
 from repro.experiments import EXPERIMENTS, ExperimentResult, get_experiment, run_experiment
 from repro.experiments import lemma_4_2
-from repro.experiments.standard_networks import (
+from repro.dynamics.standard import (
     alternating_regular_complete_network,
     clique_metrics,
     cycle_metrics,

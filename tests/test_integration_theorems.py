@@ -19,7 +19,7 @@ from repro.experiments.theorem_1_1 import (
     constant_rate_theorem_1_1_bound,
     constant_rate_theorem_1_3_bound,
 )
-from repro.experiments.standard_networks import static_clique_network, static_star_network
+from repro.dynamics.standard import static_clique_network, static_star_network
 
 
 def summarise(factory, trials, seed, algorithm="async"):
