@@ -585,10 +585,13 @@ def bind_point(point: ScenarioPoint, max_time: Optional[float] = None) -> RunBui
     """Bind one scenario point to a :class:`RunBuilder` (seed policy included).
 
     The builder reproduces the scenario execution semantics exactly: the
-    network is built from the point's network seed stream, trials consume the
-    point's trial stream, and algorithm/variant/engine/fault options carry
-    over.  ``max_time`` overrides the horizon (the measurement layer passes
-    the resolved value, including probe-derived policies); otherwise the
+    network is built once, from the point's network seed stream, and every
+    trial reuses that instance (each engine run starts with
+    ``network.reset``); trials consume the point's trial stream, and
+    algorithm/variant/engine/fault options carry over.  ``builder.spec.network``
+    is the bound instance, so callers probe it instead of building another.
+    ``max_time`` overrides the horizon (the measurement layer passes the
+    resolved value, including probe-derived policies); otherwise the
     scenario's explicit ``max_time`` applies.
     """
     scenario = point.scenario
@@ -600,7 +603,7 @@ def bind_point(point: ScenarioPoint, max_time: Optional[float] = None) -> RunBui
     _, run_seq = point.seed_sequences()
     options = scenario.options
     spec = RunSpec(
-        network=point.build_network,
+        network=point.build_network(),
         algorithm=scenario.algorithm,
         variant=scenario.variant,
         engine=scenario.engine,
@@ -635,8 +638,8 @@ def sweep_scenario(scenario: Scenario) -> SweepFrame:
     points = []
     values = []
     for point in scenario.points():
-        probe = point.build_network()
-        builder = bind_point(point, max_time=resolve_max_time(scenario, probe))
+        builder = bind_point(point)
+        builder = builder.max_time(resolve_max_time(scenario, builder.spec.network))
         points.append(builder.collect())
         values.append(point.value)
     return SweepFrame(

@@ -50,8 +50,8 @@ class CliqueBridgeNetwork(DynamicNetwork):
         require_node_count(n, minimum=4)
         self._clique_size = n
         super().__init__(list(range(1, n + 2)))
-        self._initial = clique_with_pendant(n)
-        self._later = bridged_double_clique(n)
+        self._initial: Optional[nx.Graph] = None
+        self._later: Optional[nx.Graph] = None
         self._initial_csr: Optional[CsrSnapshot] = None
         self._later_csr: Optional[CsrSnapshot] = None
 
@@ -60,7 +60,15 @@ class CliqueBridgeNetwork(DynamicNetwork):
         return self._clique_size + 1
 
     def _build_step(self, t: int, informed: frozenset) -> nx.Graph:
-        return self._initial if t == 0 else self._later
+        # The engines read the CSR snapshots below; the networkx graphs are
+        # built only when a caller asks for them.
+        if t == 0:
+            if self._initial is None:
+                self._initial = clique_with_pendant(self._clique_size)
+            return self._initial
+        if self._later is None:
+            self._later = bridged_double_clique(self._clique_size)
+        return self._later
 
     def _build_snapshot_step(self, t: int, informed: frozenset) -> CsrSnapshot:
         # Both snapshots are clique assemblies with an obvious array form;

@@ -20,7 +20,7 @@ import networkx as nx
 
 from repro.dynamics.base import DynamicNetwork
 from repro.graphs.csr import CsrSnapshot
-from repro.graphs.metrics import GraphMetrics, measure_graph
+from repro.graphs.metrics import EXACT_ENUMERATION_LIMIT, GraphMetrics, measure_graph
 from repro.utils.validation import require
 
 
@@ -30,8 +30,10 @@ class StaticDynamicNetwork(DynamicNetwork):
     Accepts either a ``networkx.Graph`` or a :class:`CsrSnapshot` (so the
     CSR-native generators feed the engines without ever building a
     dict-of-dict graph); the other representation is derived lazily on first
-    use.  Precomputes the snapshot metrics once (they never change), so bound
-    evaluation on small static-as-dynamic networks is cheap.
+    use.  A networkx graph with at most ``EXACT_ENUMERATION_LIMIT`` nodes and
+    no supplied ``metrics`` is measured exactly on the first
+    :meth:`known_step_metrics` call (unless ``precompute_metrics`` is False),
+    then the metrics are reused: they never change.
     """
 
     def __init__(
@@ -46,14 +48,18 @@ class StaticDynamicNetwork(DynamicNetwork):
             self._graph: Optional[nx.Graph] = None
             self._snapshot: Optional[CsrSnapshot] = graph
             self._metrics: Optional[GraphMetrics] = metrics
+            self._measure = False
             return
         require(graph.number_of_nodes() >= 1, "graph must have at least one node")
         super().__init__(list(graph.nodes()))
         self._graph = graph.copy()
         self._snapshot = None
         self._metrics = metrics
-        if metrics is None and precompute_metrics and graph.number_of_nodes() <= 18:
-            self._metrics = measure_graph(graph)
+        self._measure = (
+            metrics is None
+            and precompute_metrics
+            and graph.number_of_nodes() <= EXACT_ENUMERATION_LIMIT
+        )
 
     def _build_step(self, t: int, informed: frozenset) -> nx.Graph:
         return self.graph
@@ -74,6 +80,9 @@ class StaticDynamicNetwork(DynamicNetwork):
         return self._snapshot
 
     def known_step_metrics(self, t: int) -> Optional[GraphMetrics]:
+        if self._measure:
+            self._metrics = measure_graph(self._graph)
+            self._measure = False
         return self._metrics
 
     @property

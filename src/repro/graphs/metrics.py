@@ -12,22 +12,34 @@ The paper's analysis is driven by three quantities of a static snapshot
   ``ρ̄(G) = min_{(u,v)∈E} max(1/d_u, 1/d_v)`` (Section 5).
 
 Both ``Φ`` and ``ρ`` minimise over exponentially many cuts, so exact values are
-only computed for small graphs (by enumerating all cuts).  For larger graphs
-the library offers spectral (Cheeger) bounds for ``Φ`` and a sampled-cut upper
-estimate for ``ρ``; the paper's own constructions expose analytic values via
-:class:`repro.dynamics.base.DynamicNetwork.known_metrics`.
+only computed for small graphs (``n ≤ EXACT_ENUMERATION_LIMIT``).  For larger
+graphs the library offers spectral (Cheeger) bounds for ``Φ`` and a sampled-cut
+upper estimate for ``ρ``; the paper's own constructions expose analytic values
+via :class:`repro.dynamics.base.DynamicNetwork.known_metrics`.
+
+The exact values come from one numpy kernel over the degree array and the
+edge endpoints, fed by a ``networkx.Graph`` or a :class:`CsrSnapshot` alike.
+Every cut ``{S, S̄}`` is a bitmask over the compact node ids with node 0 in
+``S``; the ``2^(n-1) - 1`` masks are enumerated in chunks of ``_CUT_CHUNK``.
+Each chunk builds a boolean ``(cuts × m)`` crossing mask plus ``vol(S)`` and
+``|S|``, so the working set stays near 2 MB at ``n = 18`` whatever the number
+of chunks.  ``Φ`` reduces the chunk as ``|E(S, S̄)| / min(vol(S), vol(S̄))``.
+``ρ`` uses ``ρ(S) = d̄(S) / max over crossing edges of min(d_u, d_v)`` on the
+smaller-volume side (both sides on a tie).  Division is correctly rounded and
+monotone, so this is the same float as the definition's
+``min max(d̄/d_u, d̄/d_v)``, and the kernel is bit-identical to a per-cut loop.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Set, Tuple, Union
 
 import networkx as nx
 import numpy as np
 
+from repro.graphs.csr import CsrSnapshot
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import require, require_node_count
 
@@ -71,6 +83,67 @@ def average_degree(graph: nx.Graph, nodes: Iterable) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Exact cut enumeration
+# ---------------------------------------------------------------------------
+
+#: Either graph representation the metrics accept.
+GraphLike = Union[nx.Graph, CsrSnapshot]
+
+#: Cuts per kernel step.  At ``n = EXACT_ENUMERATION_LIMIT`` (``K18`` has 153
+#: edges) one step's masks take about 2 MB, however many steps there are.
+_CUT_CHUNK = 1 << 12
+
+
+def _shape(graph: GraphLike) -> Tuple[int, int, bool]:
+    """Return ``(n, edge count, connected)`` of either representation."""
+    if isinstance(graph, CsrSnapshot):
+        m = graph.edge_count
+        return graph.n, m, m > 0 and graph.is_connected()
+    m = graph.number_of_edges()
+    return graph.number_of_nodes(), m, m > 0 and nx.is_connected(graph)
+
+
+def _cut_arrays(graph: GraphLike) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Return ``(degrees, u, v)`` over compact ids, edges heaviest first.
+
+    An edge's weight is ``min(d_u, d_v)``; the sort is what lets
+    :func:`diligence_exact` find the heaviest crossing edge with one
+    ``argmax``.
+    """
+    if isinstance(graph, CsrSnapshot):
+        degrees = np.asarray(graph.degrees, dtype=np.int64)
+        owner = graph.row_owner
+        forward = owner < graph.indices
+        u, v = owner[forward], graph.indices[forward]
+    else:
+        index = {label: i for i, label in enumerate(graph.nodes())}
+        degrees = np.fromiter((d for _, d in graph.degree()), dtype=np.int64, count=len(index))
+        pairs = np.array(
+            [(index[a], index[b]) for a, b in graph.edges()], dtype=np.int64
+        ).reshape(-1, 2)
+        u, v = pairs[:, 0], pairs[:, 1]
+    order = np.argsort(-np.minimum(degrees[u], degrees[v]), kind="stable")
+    return degrees, u[order], v[order]
+
+
+def _cuts(degrees: np.ndarray, u: np.ndarray, v: np.ndarray) -> Iterator[Tuple[np.ndarray, ...]]:
+    """Yield ``(vol, size, crossing)`` for every cut, ``_CUT_CHUNK`` cuts at a time.
+
+    Each cut ``{S, S̄}`` is visited once, as the side ``S ≠ V`` that holds
+    node 0: bit ``i`` of its mask is node ``i``.  ``vol`` and ``size`` are
+    ``vol(S)`` and ``|S|``; ``crossing[c, e]`` says whether edge ``e`` crosses
+    cut ``c``.
+    """
+    shifts = np.arange(len(degrees), dtype=np.int64)
+    count = (1 << (len(degrees) - 1)) - 1
+    for start in range(0, count, _CUT_CHUNK):
+        masks = np.arange(start, min(start + _CUT_CHUNK, count), dtype=np.int64) * 2 + 1
+        bits = (masks[:, None] >> shifts) & 1
+        inside = bits.astype(bool)
+        yield bits @ degrees, bits.sum(axis=1), inside[:, u] != inside[:, v]
+
+
+# ---------------------------------------------------------------------------
 # Conductance
 # ---------------------------------------------------------------------------
 
@@ -89,18 +162,17 @@ def conductance_of_cut(graph: nx.Graph, subset: Iterable) -> float:
     return len(cut_edges(graph, subset)) / denom
 
 
-def conductance_exact(graph: nx.Graph) -> float:
+def conductance_exact(graph: GraphLike) -> float:
     """Return the exact conductance ``Φ(G)`` by enumerating all cuts.
 
-    Only feasible for small graphs (``n ≤ EXACT_ENUMERATION_LIMIT``).  Returns
-    ``0.0`` for disconnected or empty graphs, matching the convention used by
-    the paper for the ``⌈Φ⌉`` indicator in Theorem 1.3.
+    Accepts a ``networkx.Graph`` or a :class:`CsrSnapshot`.  Only feasible
+    for small graphs (``n ≤ EXACT_ENUMERATION_LIMIT``).  Returns ``0.0`` for
+    disconnected or empty graphs, matching the convention used by the paper
+    for the ``⌈Φ⌉`` indicator in Theorem 1.3.
     """
-    n = graph.number_of_nodes()
+    n, m, connected = _shape(graph)
     require_node_count(n, minimum=1)
-    if graph.number_of_edges() == 0:
-        return 0.0
-    if not nx.is_connected(graph):
+    if m == 0 or not connected:
         return 0.0
     require(
         n <= EXACT_ENUMERATION_LIMIT,
@@ -108,18 +180,12 @@ def conductance_exact(graph: nx.Graph) -> float:
         f"{EXACT_ENUMERATION_LIMIT}; use conductance_spectral_bounds or the "
         f"construction's analytic value instead (n = {n})",
     )
-    nodes = list(graph.nodes())
+    degrees, u, v = _cut_arrays(graph)
+    total = int(degrees.sum())
     best = math.inf
-    # Enumerate subsets containing nodes[0] to avoid double counting S / S̄.
-    rest = nodes[1:]
-    for size in range(0, len(rest) + 1):
-        for combo in itertools.combinations(rest, size):
-            subset = {nodes[0], *combo}
-            if len(subset) == n:
-                continue
-            phi = conductance_of_cut(graph, subset)
-            if phi < best:
-                best = phi
+    for vol, _, crossing in _cuts(degrees, u, v):
+        phi = np.count_nonzero(crossing, axis=1) / np.minimum(vol, total - vol)
+        best = min(best, float(phi.min()))
     return best
 
 
@@ -180,18 +246,19 @@ def diligence_of_cut(graph: nx.Graph, subset: Iterable) -> float:
     return min(max(d_bar / graph.degree(u), d_bar / graph.degree(v)) for u, v in crossing)
 
 
-def diligence_exact(graph: nx.Graph) -> float:
+def diligence_exact(graph: GraphLike) -> float:
     """Return the exact diligence ``ρ(G)`` by cut enumeration.
 
-    Matches the paper's conventions: ``ρ(G) = 0`` when ``G`` is disconnected,
-    and for connected graphs ``1/(n-1) ≤ ρ(G) ≤ 1``.  Limited to
+    Accepts a ``networkx.Graph`` or a :class:`CsrSnapshot`.  Matches the
+    paper's conventions: ``ρ(G) = 0`` when ``G`` is disconnected, and for
+    connected graphs ``1/(n-1) ≤ ρ(G) ≤ 1``.  Limited to
     ``n ≤ EXACT_ENUMERATION_LIMIT``.
     """
-    n = graph.number_of_nodes()
+    n, m, connected = _shape(graph)
     require_node_count(n, minimum=1)
     if n == 1:
         return 1.0
-    if graph.number_of_edges() == 0 or not nx.is_connected(graph):
+    if m == 0 or not connected:
         return 0.0
     require(
         n <= EXACT_ENUMERATION_LIMIT,
@@ -199,19 +266,19 @@ def diligence_exact(graph: nx.Graph) -> float:
         f"{EXACT_ENUMERATION_LIMIT}; use diligence_sampled or the "
         f"construction's analytic value instead (n = {n})",
     )
-    total_volume = volume(graph)
-    nodes = list(graph.nodes())
+    degrees, u, v = _cut_arrays(graph)
+    total = int(degrees.sum())
+    weight = np.minimum(degrees[u], degrees[v])
     best = math.inf
-    for size in range(1, n):
-        for combo in itertools.combinations(nodes, size):
-            subset = set(combo)
-            vol_s = volume(graph, subset)
-            if vol_s == 0 or vol_s > total_volume / 2:
-                continue
-            rho = diligence_of_cut(graph, subset)
-            if rho < best:
-                best = rho
-    return best if best is not math.inf else 1.0
+    for vol, size, crossing in _cuts(degrees, u, v):
+        # Edges are sorted by descending weight, so argmax picks the heaviest
+        # crossing edge: ρ(S) = d̄(S) / max over E(S, S̄) of min(d_u, d_v).
+        top = weight[crossing.argmax(axis=1)]
+        # Either side of a cut may be the smaller-volume one (both on a tie).
+        for side_vol, side_size in ((vol, size), (total - vol, n - size)):
+            rho = np.where(2 * side_vol <= total, side_vol / side_size / top, np.inf)
+            best = min(best, float(rho.min()))
+    return best if best < math.inf else 1.0
 
 
 def diligence_sampled(
@@ -269,8 +336,10 @@ def diligence_sampled(
 # Absolute diligence and other degree statistics
 # ---------------------------------------------------------------------------
 
-def absolute_diligence(graph: nx.Graph) -> float:
+def absolute_diligence(graph: GraphLike) -> float:
     """Return ``ρ̄(G) = min_{(u,v)∈E} max(1/d_u, 1/d_v)``; 0 for empty graphs."""
+    if isinstance(graph, CsrSnapshot):
+        return graph.absolute_diligence()
     if graph.number_of_edges() == 0:
         return 0.0
     return min(
@@ -341,19 +410,22 @@ class GraphMetrics:
         return 1 if self.connected else 0
 
 
-def measure_graph(graph: nx.Graph, sampled_cuts: int = 200, rng: RngLike = None) -> GraphMetrics:
+def measure_graph(graph: GraphLike, sampled_cuts: int = 200, rng: RngLike = None) -> GraphMetrics:
     """Compute a :class:`GraphMetrics` bundle for ``graph``.
 
     Uses exact enumeration when the graph is small enough and falls back to
-    spectral / sampled estimates otherwise (marking ``exact=False``).
+    spectral / sampled estimates otherwise (marking ``exact=False``).  A
+    :class:`CsrSnapshot` is measured on its arrays; only the estimates need
+    its networkx view.
     """
-    n = graph.number_of_nodes()
-    connected = n > 0 and graph.number_of_edges() > 0 and nx.is_connected(graph)
+    n, _, connected = _shape(graph)
     if n <= EXACT_ENUMERATION_LIMIT:
         phi = conductance_exact(graph) if n >= 1 else 0.0
         rho = diligence_exact(graph)
         exact = True
     else:
+        if isinstance(graph, CsrSnapshot):
+            graph = graph.to_networkx()
         phi = conductance_estimate(graph)
         rho = diligence_sampled(graph, samples=sampled_cuts, rng=rng)
         exact = False

@@ -241,10 +241,8 @@ class Scenario:
             point = matches[0]
         else:
             point = points[index if index is not None else 0]
-        max_time = self.max_time
-        if max_time is None and self.options.get("max_time_policy") is not None:
-            max_time = resolve_max_time(self, point.build_network())
-        return bind_point(point, max_time=max_time)
+        builder = bind_point(point)
+        return builder.max_time(resolve_max_time(self, builder.spec.network))
 
 
 @dataclass(frozen=True)

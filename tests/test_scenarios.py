@@ -7,10 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.asynchronous import AsynchronousRumorSpreading
+from repro.core.synchronous import SynchronousRumorSpreading
 from repro.scenarios import (
     Scenario,
+    ScenarioPoint,
     build_network,
     get_network_family,
+    measure_point,
     network_families,
     scenario_seed,
 )
@@ -260,3 +264,75 @@ class TestMeasurementRegistry:
         assert payload["n"] == 8
         assert len(payload["spread_times"]) == 3
         assert math.isfinite(payload["summary"]["mean"])
+
+
+class TestOneNetworkPerPoint:
+    """A point builds its network once; every trial reuses that instance."""
+
+    PROCESSES = {
+        "async": (AsynchronousRumorSpreading(), {"max_time": 60.0}),
+        "sync": (SynchronousRumorSpreading(), {"max_rounds": 60}),
+    }
+
+    @pytest.mark.parametrize("algorithm", sorted(PROCESSES))
+    @pytest.mark.parametrize("name", sorted(TestNetworkRegistry.SMOKE_PARAMS))
+    def test_reused_instance_runs_like_fresh_instances(self, name, algorithm):
+        # Engines call network.reset(rng) first, so a family whose reset
+        # misses per-run state shows up here as a diverging second trial.
+        process, horizon = self.PROCESSES[algorithm]
+        params = TestNetworkRegistry.SMOKE_PARAMS[name]
+        reused = build_network(name, rng=0, **params)
+
+        def trials(network_for):
+            results = [process.run(network_for(), rng=seed, **horizon) for seed in (11, 12)]
+            return [(result.spread_time, result.informed_times) for result in results]
+
+        assert trials(lambda: reused) == trials(lambda: build_network(name, rng=0, **params))
+
+    @staticmethod
+    def _count_builds(monkeypatch):
+        calls = []
+        original = ScenarioPoint.build_network
+
+        def counting(point):
+            calls.append(point.index)
+            return original(point)
+
+        monkeypatch.setattr(ScenarioPoint, "build_network", counting)
+        return calls
+
+    # A probed max_time_policy exercises the probe path of the trials kind.
+    POLICY = {
+        "max_time_policy": {"attr": "predicted_upper_bound", "scale": 2.0},
+        "probe": ["k", {"name": "lower", "attr": "predicted_lower_bound"}],
+    }
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            Scenario(label="t", network="dynamic-star", sweep=(8,), trials=4, seed=0),
+            Scenario(label="p", network="diligent", params={"rho": 0.5}, sweep=(120,),
+                     trials=2, seed=0, options=POLICY),
+            Scenario(label="a", kind="tabs_trials", network="dynamic-star", sweep=(8,),
+                     trials=4, seed=0),
+        ],
+        ids=["trials", "trials-probe", "tabs_trials"],
+    )
+    def test_measure_point_builds_once(self, scenario, monkeypatch):
+        calls = self._count_builds(monkeypatch)
+        measure_point(scenario.points()[0])
+        assert calls == [0]
+
+    def test_bind_and_sweep_build_once_per_point(self, monkeypatch):
+        from repro.api import sweep_scenario
+
+        scenario = Scenario(label="p", network="diligent", params={"rho": 0.5},
+                            sweep=(120, 160), trials=2, seed=0, options=self.POLICY)
+        calls = self._count_builds(monkeypatch)
+        bound = scenario.bind(index=1)
+        assert calls == [1]
+        assert bound.spec.max_time == 2.0 * bound.spec.network.predicted_upper_bound()
+        calls.clear()
+        frame = sweep_scenario(scenario)
+        assert calls == [0, 1]
+        assert list(frame.points[1].spread_times) == list(bound.collect().spread_times)
