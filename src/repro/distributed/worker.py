@@ -31,6 +31,7 @@ from repro.api.client import ServiceClient, ServiceError
 from repro.api.sinks import ResultSink
 from repro.distributed.http_sink import HttpSink
 from repro.execution.chaos import ChaosKill, ChaosMonkey, chaos_from_env
+from repro.execution.supervisor import limit_blas_threads
 from repro.scenarios.measurements import measure_point
 from repro.scenarios.pipeline import _normalise
 from repro.scenarios.scenario import Scenario, ScenarioPoint
@@ -130,8 +131,10 @@ def run_worker(
     The loop ends when the coordinator reports ``closed`` (service shutting
     down), when ``exit_when_idle`` is set and no open work remains, or after
     ``max_leases`` grants (a test/chaos bound).  ``chaos`` defaults to the
-    ``REPRO_CHAOS`` environment schedule.
+    ``REPRO_CHAOS`` environment schedule.  Like a pool worker, the process
+    pins numpy's OpenBLAS to one thread (:func:`limit_blas_threads`).
     """
+    limit_blas_threads()
     client = ServiceClient(coordinator)
     if sink is None:
         sink = HttpSink(coordinator)

@@ -15,6 +15,11 @@ Intuitively the adversary keeps re-drawing the ``k``-hop bipartite bottleneck
 between the informed territory and the uninformed territory, so the rumor must
 cross the full chain over and over; Lemma 4.2 shows one unit of time almost
 never suffices to cross it, giving the ``Ω(nρ/k)`` lower bound.
+
+Snapshots are emitted in CSR form by :func:`repro.graphs.hk_delta.build_hk_delta`
+(compact ids follow the network's node tuple); ``graph_for_step`` returns the
+``to_networkx()`` view of the same snapshot, so there is one realisation per
+step and a kept snapshot is the same object on both paths.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from typing import Hashable, Optional, Sequence
 import networkx as nx
 
 from repro.dynamics.base import DynamicNetwork
+from repro.graphs.csr import CsrSnapshot
 from repro.graphs.hk_delta import HkDeltaGraph, build_hk_delta, minimum_side_sizes
 from repro.graphs.metrics import GraphMetrics
 from repro.utils.rng import RngLike, ensure_rng
@@ -105,20 +111,26 @@ class DiligentDynamicNetwork(DynamicNetwork):
             k=self.k,
             delta=self.delta,
             rng=self._run_rng,
+            nodes=self.nodes,
         )
 
-    def _build_step(self, t: int, informed: frozenset) -> nx.Graph:
+    def _build_snapshot_step(self, t: int, informed: frozenset) -> CsrSnapshot:
+        # A kept snapshot is returned as the same object, so the engines'
+        # `snapshot is previous_snapshot` rebuild elision holds.
         if t == 0 or self._current is None:
             self._current = self._rebuild(self._part_b)
-            return self._current.graph
+            return self._current.snapshot
         new_b = self._part_b - informed
-        min_a, min_b = minimum_side_sizes(self.k, self.delta)
+        _, min_b = minimum_side_sizes(self.k, self.delta)
         shrank = len(new_b) < len(self._part_b)
         big_enough = len(new_b) >= max(self.n // 4, min_b)
         if shrank and big_enough:
             self._part_b = new_b
             self._current = self._rebuild(new_b)
-        return self._current.graph
+        return self._current.snapshot
+
+    def _build_step(self, t: int, informed: frozenset) -> nx.Graph:
+        return self._build_snapshot_step(t, informed).to_networkx()
 
     # -- analytic metrics ------------------------------------------------------
 

@@ -6,19 +6,52 @@ are assembled:
 * cliques, stars, cycles and paths (standard topologies used for calibration
   and for the dichotomy networks of Theorem 1.7);
 * random ``d``-regular expanders with a verified constant spectral gap
-  (Section 4 step 2 requires "arbitrary 4-regular expander graphs");
+  (Section 4 step 2 requires "arbitrary 4-regular expander graphs"), drawn
+  straight into edge arrays (see *Expander draws* below);
 * ``G(A, d₁, d₂)`` — a connected graph where every node has degree ``d₁``
   except one hub of degree ``d₂`` (Section 5.1);
 * the clique-with-pendant-edge and bridged double clique making up ``G1`` of
   Figure 1(a);
 * a chain of complete bipartite clusters (step 1 of the ``H_{k,Δ}``
   construction, also exported separately for testing).
+
+Expander draws
+--------------
+:func:`regular_expander_edges` is the one random-regular draw.  Every attempt
+takes ``seed = gen.integers(0, 2**32 - 1)`` and runs the Steger–Wormald stub
+pairing of networkx 3.6.1's ``random_regular_graph`` verbatim on
+``random.Random(seed)``; iterating the resulting edge ``set`` yields the edge
+sequence networkx would insert, so a draw is the same graph, adjacency order
+included, as the networkx call it replaces.  Connectivity is checked on the
+CSR arrays.  The gap verdict certifies rather than computes the spectrum: the
+normalised Laplacian ``L`` is assembled with networkx's arithmetic
+(``s * (L_ij * s)``, ``s = 1/√d``) in the same node order, and for a
+connected ``d``-regular graph ``λ₂ > θ`` holds exactly when
+``L − θI + J/n`` is positive definite (``J/n`` lifts the all-ones null vector
+to eigenvalue ``1 − θ``).  A Cholesky factorisation that succeeds at
+``θ = threshold + ε`` accepts, one that fails at ``threshold − ε`` rejects,
+and only a gap inside that band pays the dense ``eigvalsh`` that decided
+every draw before.  The band must cover the rounding errors on both sides.
+Cholesky is backward stable: a factorisation that completes is exact for
+``M + E`` with ``‖E‖₂ ≤ n(n+1)u‖M‖₂``, and one that breaks down leaves
+``λ_min(M) ≤ n(n+1)u`` on this unit-diagonal-scale matrix (Higham, *Accuracy
+and Stability of Numerical Algorithms*, Thms 10.3 and 10.7; ``u ≈ 1.1e-16``,
+``‖M‖₂ ≤ 2``).  ``eigvalsh``'s own backward error is smaller still.  For
+every ``n ≤ 10⁴``, beyond which a dense ``n × n`` solve is impractical
+anyway, these bounds stay below ``2.2e-8``, so ``ε = GAP_CERTIFICATE_MARGIN =
+1e-6`` leaves a 45× safety factor and the certified verdict equals
+``eigvalsh(L)[1] ≥ threshold``.  :func:`random_regular_expander` wraps the
+arrays in the networkx graph ``relabel_nodes`` used to return, for the static
+``expander`` family and E7.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Hashable, Iterable, List, Optional, Sequence, Tuple
+import random
+from collections import defaultdict
+from itertools import chain
+from typing import Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 import numpy as np
@@ -36,6 +69,10 @@ EXPANDER_GAP_THRESHOLD = 0.1
 #: Sized for the worst family in use: a 3-regular graph on 64 nodes (E7) meets
 #: the 0.1 gap only ~12% of the time, so 200 draws all fail with p ≈ 1e-11.
 EXPANDER_MAX_ATTEMPTS = 200
+
+#: Half-width of the band around the gap threshold inside which the Cholesky
+#: certificate defers to the dense eigenvalue solve (see the module docstring).
+GAP_CERTIFICATE_MARGIN = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +391,179 @@ def spectral_gap(graph: nx.Graph) -> float:
     """Return the second-smallest eigenvalue of the normalised Laplacian."""
     if graph.number_of_nodes() < 2 or graph.number_of_edges() == 0:
         return 0.0
-    laplacian = nx.normalized_laplacian_matrix(graph).toarray()
+    return _second_eigenvalue(nx.normalized_laplacian_matrix(graph).toarray())
+
+
+def _second_eigenvalue(laplacian: np.ndarray) -> float:
     eigenvalues = np.sort(np.linalg.eigvalsh(laplacian))
     return max(float(eigenvalues[1]), 0.0)
+
+
+def _regular_pairing(degree: int, n: int, seed: int) -> Set[Tuple[int, int]]:
+    """Edge set of networkx 3.6.1's ``random_regular_graph(degree, n, seed)``.
+
+    A verbatim port of its stub pairing (``_try_creation`` and
+    ``_suitable``) on ``random.Random(seed)``: the same shuffles in the same
+    order build the same ``set``, whose iteration order is the sequence in
+    which networkx inserts the edges.  Each edge is ``(s1, s2)`` with
+    ``s1 < s2``.
+    """
+    rng = random.Random(seed)
+
+    def _suitable(edges, potential_edges):
+        if not potential_edges:
+            return True
+        for s1 in potential_edges:
+            for s2 in potential_edges:
+                if s1 == s2:
+                    break
+                if s1 > s2:
+                    s1, s2 = s2, s1
+                if (s1, s2) not in edges:
+                    return True
+        return False
+
+    def _try_creation():
+        edges = set()
+        stubs = list(range(n)) * degree
+        while stubs:
+            potential_edges = defaultdict(lambda: 0)
+            rng.shuffle(stubs)
+            stubiter = iter(stubs)
+            for s1, s2 in zip(stubiter, stubiter):
+                if s1 > s2:
+                    s1, s2 = s2, s1
+                if s1 != s2 and ((s1, s2) not in edges):
+                    edges.add((s1, s2))
+                else:
+                    potential_edges[s1] += 1
+                    potential_edges[s2] += 1
+            if not _suitable(edges, potential_edges):
+                return None
+            stubs = [
+                node
+                for node, potential in potential_edges.items()
+                for _ in range(potential)
+            ]
+        return edges
+
+    edges = _try_creation()
+    while edges is None:
+        edges = _try_creation()
+    return edges
+
+
+def _random_regular_arrays(
+    degree: int, n: int, seed: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(u, v)`` arrays of one pairing, in networkx's insertion order."""
+    edges = _regular_pairing(degree, n, seed)
+    flat = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges))
+    return flat[0::2], flat[1::2]
+
+
+def _regular_normalized_laplacian(
+    n: int, degree: int, u_ids: np.ndarray, v_ids: np.ndarray
+) -> np.ndarray:
+    """Dense normalised Laplacian of a ``degree``-regular graph on ids ``0..n-1``.
+
+    Equal bit for bit to ``nx.normalized_laplacian_matrix(G).toarray()``:
+    networkx scales ``L = D − A`` as ``D^{-1/2} (L D^{-1/2})``, so every entry
+    is ``s * (L_ij * s)`` with ``s = 1/√d``.  For ``d = 3`` the product
+    ``s * s`` is not exactly ``1/3``, so the arithmetic is kept as is.
+    """
+    s = 1.0 / np.sqrt(np.float64(degree))
+    laplacian = np.zeros((n, n), dtype=np.float64)
+    off_diagonal = s * (-1.0 * s)
+    laplacian[u_ids, v_ids] = off_diagonal
+    laplacian[v_ids, u_ids] = off_diagonal
+    np.fill_diagonal(laplacian, s * (degree * s))
+    return laplacian
+
+
+def _is_positive_definite(matrix: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _regular_gap_at_least(laplacian: np.ndarray, threshold: float) -> bool:
+    """True when ``eigvalsh(laplacian)``'s second eigenvalue is ``≥ threshold``.
+
+    ``laplacian`` is the normalised Laplacian of a *connected regular* graph,
+    so its null vector is the all-ones vector and ``λ₂ > θ`` exactly when
+    ``L − θI + J/n`` is positive definite.  Cholesky certifies the verdict on
+    either side of the band ``threshold ± GAP_CERTIFICATE_MARGIN``; inside
+    the band the dense solve decides, as it did for every draw before.
+    """
+    if threshold <= 0.0:
+        return True  # the gap is clamped at 0, so any connected draw passes
+    lifted = laplacian + 1.0 / len(laplacian)
+    diagonal = np.diagonal(lifted).copy()
+    np.fill_diagonal(lifted, diagonal - (threshold + GAP_CERTIFICATE_MARGIN))
+    if _is_positive_definite(lifted):
+        return True
+    np.fill_diagonal(lifted, diagonal - (threshold - GAP_CERTIFICATE_MARGIN))
+    if not _is_positive_definite(lifted):
+        return False
+    return _second_eigenvalue(laplacian) >= threshold
+
+
+def regular_expander_edges(
+    degree: int,
+    n: int,
+    rng: RngLike = None,
+    gap_threshold: float = EXPANDER_GAP_THRESHOLD,
+    max_attempts: int = EXPANDER_MAX_ATTEMPTS,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Draw a connected random ``degree``-regular graph with a verified gap.
+
+    Returns compact ``(u, v)`` endpoint arrays over ids ``0..n-1`` with
+    ``u < v``, in the order networkx would insert them (see the module
+    docstring).  Each attempt consumes one ``gen.integers(0, 2**32 - 1)``
+    seed, so the generator's stream is that of the networkx draw.
+    """
+    require_node_count(n, minimum=2)
+    require(0 < degree < n, f"degree must satisfy 0 < degree < n (degree={degree}, n={n})")
+    require(degree * n % 2 == 0, "degree * n must be even for a regular graph to exist")
+    gen = ensure_rng(rng)
+    # Very small graphs cannot meet asymptotic gap thresholds; be lenient.
+    effective_threshold = gap_threshold if n >= 8 else 0.0
+    last_laplacian: Optional[np.ndarray] = None
+    for _ in range(max_attempts):
+        seed = int(gen.integers(0, 2**32 - 1))
+        u_ids, v_ids = _random_regular_arrays(degree, n, seed)
+        if not CsrSnapshot.from_edge_arrays(range(n), u_ids, v_ids).is_connected():
+            continue
+        last_laplacian = _regular_normalized_laplacian(n, degree, u_ids, v_ids)
+        if _regular_gap_at_least(last_laplacian, effective_threshold):
+            return u_ids, v_ids
+    last_gap = 0.0 if last_laplacian is None else _second_eigenvalue(last_laplacian)
+    raise RuntimeError(
+        f"failed to generate a {degree}-regular expander on {n} nodes after "
+        f"{max_attempts} attempts (last spectral gap {last_gap:.4f} < "
+        f"{effective_threshold})"
+    )
+
+
+def _labelled_regular_graph(
+    nodes: Sequence[Hashable], u_ids: np.ndarray, v_ids: np.ndarray
+) -> nx.Graph:
+    """The graph ``relabel_nodes(random_regular_graph(...), nodes)`` returns.
+
+    ``relabel_nodes`` copies the draw's ``edges()``, which visit the ids in
+    order and each id's neighbours in insertion order: a stable sort of the
+    insertion sequence on the smaller endpoint.
+    """
+    order = np.argsort(u_ids, kind="stable")
+    graph = nx.Graph()
+    graph.add_nodes_from(nodes)
+    graph.add_edges_from(
+        (nodes[u], nodes[v]) for u, v in zip(u_ids[order].tolist(), v_ids[order].tolist())
+    )
+    return graph
 
 
 def random_regular_expander(
@@ -383,27 +590,10 @@ def random_regular_expander(
         Minimum accepted spectral gap; snapshots below it are resampled.
     """
     nodes = list(nodes)
-    n = len(nodes)
-    require_node_count(n, minimum=2)
-    require(0 < degree < n, f"degree must satisfy 0 < degree < n (degree={degree}, n={n})")
-    require(degree * n % 2 == 0, "degree * n must be even for a regular graph to exist")
-    gen = ensure_rng(rng)
-    # Very small graphs cannot meet asymptotic gap thresholds; be lenient.
-    effective_threshold = gap_threshold if n >= 8 else 0.0
-    last_gap = 0.0
-    for _ in range(max_attempts):
-        seed = int(gen.integers(0, 2**32 - 1))
-        candidate = nx.random_regular_graph(degree, n, seed=seed)
-        if not nx.is_connected(candidate):
-            continue
-        last_gap = spectral_gap(candidate)
-        if last_gap >= effective_threshold:
-            return nx.relabel_nodes(candidate, dict(zip(range(n), nodes)))
-    raise RuntimeError(
-        f"failed to generate a {degree}-regular expander on {n} nodes after "
-        f"{max_attempts} attempts (last spectral gap {last_gap:.4f} < "
-        f"{effective_threshold})"
+    u_ids, v_ids = regular_expander_edges(
+        degree, len(nodes), rng=rng, gap_threshold=gap_threshold, max_attempts=max_attempts
     )
+    return _labelled_regular_graph(nodes, u_ids, v_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -434,9 +624,9 @@ def regular_connected_graph(nodes: Sequence[Hashable], degree: int, rng: RngLike
     gen = ensure_rng(rng)
     for _ in range(EXPANDER_MAX_ATTEMPTS):
         seed = int(gen.integers(0, 2**32 - 1))
-        candidate = nx.random_regular_graph(degree, n, seed=seed)
-        if nx.is_connected(candidate):
-            return nx.relabel_nodes(candidate, dict(zip(range(n), nodes)))
+        u_ids, v_ids = _random_regular_arrays(degree, n, seed)
+        if CsrSnapshot.from_edge_arrays(range(n), u_ids, v_ids).is_connected():
+            return _labelled_regular_graph(nodes, u_ids, v_ids)
     raise RuntimeError(f"failed to build a connected {degree}-regular graph on {n} nodes")
 
 
@@ -560,6 +750,7 @@ __all__ = [
     "EXPANDER_GAP_THRESHOLD",
     "EXPANDER_MAX_ATTEMPTS",
     "ER_SAMPLING_CHUNK",
+    "GAP_CERTIFICATE_MARGIN",
     "bridged_double_clique",
     "bridged_double_clique_csr",
     "clique",
@@ -579,6 +770,7 @@ __all__ = [
     "path",
     "random_regular_expander",
     "regular_connected_graph",
+    "regular_expander_edges",
     "spectral_gap",
     "star",
 ]

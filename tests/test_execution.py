@@ -18,6 +18,7 @@ from repro.execution import (
     supervised_map,
 )
 from repro.api._exec import _fan_out
+from repro.execution.supervisor import limit_blas_threads, openblas_thread_functions
 
 pytestmark = pytest.mark.skipif(not fork_available(), reason="needs fork")
 
@@ -209,6 +210,40 @@ class TestSupervisedMapPool:
         bound = {"offset": 100}
         outcomes = supervised_map(lambda v: v + bound["offset"], [1, 2, 3], workers=2)
         assert [outcome.value for outcome in outcomes] == [101, 102, 103]
+
+
+def _blas_threads(_):
+    return openblas_thread_functions()[1]()
+
+
+class TestBlasThreads:
+    """Pool workers pin numpy's OpenBLAS to one thread unless told otherwise."""
+
+    @pytest.fixture
+    def blas(self, monkeypatch):
+        functions = openblas_thread_functions()
+        if functions is None:
+            pytest.skip("numpy's BLAS exports no openblas_set_num_threads symbol")
+        setter, getter = functions
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        before = getter()
+        setter(2)
+        yield getter
+        setter(before)
+
+    def test_pool_workers_run_one_blas_thread(self, blas):
+        outcomes = supervised_map(_blas_threads, [0, 1, 2], workers=2)
+        assert [outcome.value for outcome in outcomes] == [1, 1, 1]
+
+    def test_thread_variables_take_precedence(self, blas, monkeypatch):
+        if blas() != 2:
+            pytest.skip("this OpenBLAS cannot run two threads here")
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        limit_blas_threads()
+        assert blas() == 2
+        outcomes = supervised_map(_blas_threads, [0, 1], workers=2)
+        assert [outcome.value for outcome in outcomes] == [2, 2]
 
 
 class TestForkMapCompat:
